@@ -343,20 +343,27 @@ func (e *Engine) AppliedLSN() uint64 { return e.log.DurableLSN() }
 // replication stream. Records at or below the engine's applied LSN are
 // skipped, making re-delivery idempotent: batches may overlap after a
 // reconnect or a leader retransmit and each LSN still applies exactly once.
-// The surviving suffix is made durable in the local WAL *before* it becomes
-// visible to readers — a crash between the two replays it from the log, so
-// the follower can never serve a state its own recovery would not rebuild.
-// Returns the new applied LSN.
+// A chunk whose first new record is not the very next LSN is refused with
+// ErrReplicationGap and nothing of it is applied: taking it would leave a
+// hole that the late chunk, arriving below the new applied LSN, could never
+// fill. The surviving suffix is made durable in the local WAL *before* it
+// becomes visible to readers — a crash between the two replays it from the
+// log, so the follower can never serve a state its own recovery would not
+// rebuild. Returns the new applied LSN.
 func (e *Engine) ApplyReplicated(raw []byte) (uint64, error) {
 	if e.crashed.Load() {
 		return 0, ErrConnLost
 	}
-	suffix, _, last, err := wal.SliceFrom(raw, e.AppliedLSN())
+	applied := e.AppliedLSN()
+	suffix, first, last, err := wal.SliceFrom(raw, applied)
 	if err != nil {
 		return 0, err
 	}
 	if len(suffix) == 0 {
-		return e.AppliedLSN(), nil
+		return applied, nil
+	}
+	if first != applied+1 {
+		return 0, fmt.Errorf("%w: chunk starts at LSN %d, applied LSN is %d", ErrReplicationGap, first, applied)
 	}
 	if err := e.log.AppendRaw(suffix, last); err != nil {
 		return 0, err

@@ -31,6 +31,11 @@ var (
 	// transaction's snapshot (first-committer-wins). The transaction is
 	// rolled back; retrying with a fresh snapshot is the expected response.
 	ErrOCCConflict = errors.New("engine: optimistic validation failed; transaction rolled back")
+	// ErrReplicationGap is ApplyReplicated refusing a chunk that does not
+	// continue the applied log. The follower drops its stream on it and
+	// re-subscribes from its applied LSN, which the leader's catch-up path
+	// serves gaplessly.
+	ErrReplicationGap = errors.New("engine: replicated chunk leaves an LSN gap")
 	// ErrDuplicateKey reports a primary-key collision on insert.
 	ErrDuplicateKey = errors.New("engine: duplicate primary key")
 	// ErrNoTable reports an unknown table.

@@ -146,7 +146,7 @@ func (o *OptTxn) Commit() error {
 	o.done = true
 	return o.reg.Engine().Run(engine.IsolationDefault, func(t *engine.Txn) error {
 		for _, r := range o.reads {
-			cur, err := t.SelectOne(r.table, storage.ByPK(r.pk))
+			cur, err := t.SelectOne(r.table, storage.ByPK(r.pk), engine.ForUpdate)
 			if err != nil {
 				return err
 			}

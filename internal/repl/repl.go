@@ -76,8 +76,8 @@ const maxChunk = 256 << 10
 
 // outboxDepth bounds queued frames per follower. A follower that falls this
 // far behind the live stream is cut off and reconnects through the catch-up
-// path, which is built for arbitrary gaps; stalling the leader's flusher on
-// its slowest follower's socket is never acceptable.
+// path, which is built for arbitrary gaps; stalling the leader's ship stage
+// on its slowest follower's socket is never acceptable.
 const outboxDepth = 256
 
 // LeaderConfig configures a replication leader.
@@ -249,18 +249,24 @@ func (l *Leader) serveFollower(conn net.Conn) {
 	// Ship enqueues under the same mutex after its batch is durable, so the
 	// follower's stream is gapless: everything durable before registration
 	// is in the snapshot, everything after is enqueued behind it (overlap is
-	// fine — apply is idempotent by LSN).
+	// fine — apply is idempotent by LSN). The cut stops at the durable
+	// frontier, read before the log image: the image also holds the batch
+	// the WAL is fsyncing right now, and a follower must never hold bytes
+	// the leader could still lose. That batch reaches this subscriber
+	// through Ship, which cannot run for it until it is durable — after this
+	// read — and so enqueues behind the registration below.
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
 		return
 	}
+	durable := l.eng.AppliedLSN()
 	suffix, _, _, serr := wal.SliceFrom(l.eng.WALBytes(), sub.FromLSN)
 	if serr != nil {
 		l.mu.Unlock()
 		return
 	}
-	snapshot := cutChunks(suffix)
+	snapshot := cutChunks(suffix, durable)
 	l.followers[fc] = struct{}{}
 	l.mu.Unlock()
 
@@ -371,10 +377,12 @@ func (l *Leader) ackNeeded() int {
 }
 
 // Ship is the WAL shipper hook: raw covers records first..last, already
-// locally durable. It broadcasts the batch to every connected follower and
-// blocks until the quorum holds it durably (or the AckTimeout degrade
-// fires). Runs on the WAL flusher goroutine, so commit acknowledgement of
-// the whole batch waits on it — that is the point.
+// locally durable. It broadcasts them as one frame to every connected
+// follower and blocks until the quorum holds them durably (or the AckTimeout
+// degrade fires). The WAL's ship stage calls it serially and in LSN order,
+// and acknowledges the commits a call covers only when it returns — that is
+// the point. The flusher is not held meanwhile: the batches it fsyncs during
+// this call arrive together as the next call's range.
 func (l *Leader) Ship(raw []byte, first, last uint64) {
 	frame, err := wire.AppendReplFrame(nil, &wire.ReplFrame{
 		Kind: wire.ReplBatch, Epoch: l.cfg.Epoch,
@@ -388,7 +396,7 @@ func (l *Leader) Ship(raw []byte, first, last uint64) {
 		select {
 		case fc.outbox <- frame:
 		default:
-			// Hopelessly behind: cut it off rather than stall the flusher.
+			// Hopelessly behind: cut it off rather than stall the ship stage.
 			// It reconnects through catch-up.
 			fc.conn.Close()
 		}
@@ -453,13 +461,19 @@ func (c chunk) encode(epoch uint64, kind wire.ReplKind) []byte {
 	return b
 }
 
-// cutChunks splits raw at record boundaries into maxChunk-bounded pieces.
-func cutChunks(raw []byte) []chunk {
+// cutChunks splits the records of raw up to LSN limit into maxChunk-bounded
+// pieces, at record boundaries. Records above the limit are the log's tail
+// (at most the batch being fsynced), so skipping them cuts nothing out of
+// the middle.
+func cutChunks(raw []byte, limit uint64) []chunk {
 	var out []chunk
 	var cur chunk
 	start := 0
 	off := 0
 	_ = wal.Scan(raw, func(lsn uint64, rec []byte) error {
+		if lsn > limit {
+			return nil
+		}
 		if len(cur.raw) > 0 && len(cur.raw)+len(rec) > maxChunk {
 			out = append(out, cur)
 			start = off

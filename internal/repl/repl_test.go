@@ -13,11 +13,14 @@ import (
 
 func newEngine(t *testing.T, crash *sim.CrashPlan, group bool) *engine.Engine {
 	t.Helper()
-	eng := engine.New(engine.Config{
-		Dialect:     engine.MySQL,
-		GroupCommit: group,
-		Crash:       crash,
-	})
+	return newEngineWith(engine.Config{GroupCommit: group, Crash: crash})
+}
+
+// newEngineWith is newEngine for tests that set other Config fields (WAL
+// latency, WAL device).
+func newEngineWith(cfg engine.Config) *engine.Engine {
+	cfg.Dialect = engine.MySQL
+	eng := engine.New(cfg)
 	eng.CreateTable(storage.NewSchema("accounts",
 		storage.Column{Name: "bal", Type: storage.TInt},
 	))

@@ -165,20 +165,31 @@ func (o Options) maxBatch() int {
 	return 64
 }
 
-// pendingAppend is one enqueued group-commit record: its LSN, its encoded
-// bytes, and the channel its Append caller blocks on.
+// pendingAppend is one parked Append caller: its LSN, its encoded bytes
+// (group commit only), and the channel the caller blocks on.
 type pendingAppend struct {
 	lsn  uint64
 	enc  []byte
 	done chan error
 }
 
+// shipBatch is one fsync batch in the ship queue: its byte range in Log.buf,
+// its LSN range, and the Append callers parked until a shipper call covering
+// it returns.
+type shipBatch struct {
+	off, end    int
+	first, last uint64
+	members     []*pendingAppend
+}
+
 // walMetrics is the log's resolved instrument set (see WireObs).
 type walMetrics struct {
-	appends   *obs.Counter
-	fsyncs    *obs.Counter
-	batches   *obs.Counter
-	batchSize *obs.Histogram
+	appends     *obs.Counter
+	fsyncs      *obs.Counter
+	batches     *obs.Counter
+	batchSize   *obs.Histogram
+	shipRecords *obs.Histogram
+	shipQueue   *obs.Gauge
 }
 
 // Log is an append-only redo log: an in-memory image (what replication and
@@ -195,6 +206,14 @@ type Log struct {
 	flushing bool
 	crashErr error // poisons the log after a fired crash point
 
+	// The ship stage (only ever non-empty while a shipper is installed):
+	// shipQ holds fsync batches in LSN order waiting for a shipper call,
+	// inflight the ones the running call covers, and shipping is the stage's
+	// role flag — one runShipper goroutine exists while it is set.
+	shipQ    []shipBatch
+	inflight []shipBatch
+	shipping bool
+
 	// full is signalled when pending reaches MaxBatch so a waiting leader
 	// can cut its window short.
 	full chan struct{}
@@ -210,8 +229,8 @@ type Log struct {
 	// replication shipping frontier and the follower-staleness clock.
 	durable atomic.Uint64
 
-	// shipper, when installed, receives every durable byte range right
-	// after its fsync (see SetShipper).
+	// shipper, when installed, receives every durable byte range from the
+	// ship stage (see SetShipper).
 	shipper atomic.Pointer[func(raw []byte, first, last uint64)]
 
 	om atomic.Pointer[walMetrics]
@@ -248,8 +267,11 @@ func (l *Log) Load(raw []byte, lastLSN uint64) {
 }
 
 // WireObs attaches the log to reg: append/fsync counts, group-commit batch
-// count, and the wal_group_commit_batch_size histogram. A nil registry is a
-// no-op.
+// count, the wal_group_commit_batch_size histogram, and the ship stage's
+// wal_ship_batch_records histogram (records per shipper call — above the
+// group-commit batch size when fsync batches coalesce behind a slow ship) and
+// wal_ship_queue_batches gauge (fsync batches queued or on the wire; stuck
+// above zero is a stalled follower). A nil registry is a no-op.
 func (l *Log) WireObs(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -259,15 +281,26 @@ func (l *Log) WireObs(reg *obs.Registry) {
 		fsyncs:    reg.Counter("wal_fsyncs_total"),
 		batches:   reg.Counter("wal_group_commits_total"),
 		batchSize: reg.Histogram("wal_group_commit_batch_size"),
+
+		shipRecords: reg.Histogram("wal_ship_batch_records"),
+		shipQueue:   reg.Gauge("wal_ship_queue_batches"),
 	})
 }
 
-// SetShipper installs fn as the log's replication hook: after every fsync,
-// fn receives the raw bytes just made durable plus the LSN range they cover.
-// fn runs on the flusher goroutine and blocks acknowledgement of the batch —
-// a shipper that waits for follower acks is exactly how semi-sync commit is
-// built. raw aliases the append-only log image: it stays valid and immutable
-// after fn returns. A nil fn uninstalls the hook.
+// SetShipper installs fn as the log's replication hook: fn receives raw log
+// bytes that are already locally durable plus the LSN range they cover, and
+// no Append covered by a call is acknowledged before that call returns — a
+// shipper that waits for follower acks is exactly how semi-sync commit is
+// built. The log enforces the rest of the contract: calls are serial (never
+// two at once), in LSN order and gapless (each call's first is the previous
+// call's last+1 from the first batch fsynced after installation), for both
+// GroupCommit settings. fn runs on the ship stage's goroutine, not on the
+// flusher: while one call is on the wire the flusher fsyncs the next batch,
+// and every batch fsynced meanwhile rides the next call as one contiguous
+// range. raw aliases the append-only log image: it stays valid and immutable
+// after fn returns. A nil fn uninstalls the hook; batches already queued are
+// then acknowledged without a call. A fired crash point ends the sequence:
+// see Recover for where it resumes.
 //
 // The repl/ship crash points fire around fn only while a shipper is
 // installed.
@@ -280,7 +313,8 @@ func (l *Log) SetShipper(fn func(raw []byte, first, last uint64)) {
 }
 
 // ship runs the installed shipper (if any) bracketed by the repl/ship crash
-// points. Called after the records in raw are locally durable.
+// points. Called by the ship stage after the records in raw are locally
+// durable.
 func (l *Log) ship(raw []byte, first, last uint64) {
 	fn := l.shipper.Load()
 	if fn == nil {
@@ -288,6 +322,9 @@ func (l *Log) ship(raw []byte, first, last uint64) {
 	}
 	l.opt.Crash.Check(CrashPointShipBefore)
 	(*fn)(raw, first, last)
+	if om := l.om.Load(); om != nil {
+		om.shipRecords.ObserveValue(int64(last - first + 1))
+	}
 	l.opt.Crash.Check(CrashPointShipAfter)
 }
 
@@ -335,19 +372,46 @@ func (l *Log) syncDevice() error {
 	return nil
 }
 
-// poison marks the log failed with err; every later Append returns it.
+// poison marks the log failed with err — every later Append returns it — and
+// fails every Append still parked in either stage.
 func (l *Log) poison(err error) {
 	l.mu.Lock()
+	orphans := l.poisonLocked(err)
+	l.mu.Unlock()
+	finish(orphans, err)
+}
+
+// poisonLocked marks the log failed and detaches every unacknowledged member
+// of both queues — the unflushed appends and the fsynced batches queued or on
+// the wire — for the caller to fail once l.mu is released: the process died,
+// nothing unacknowledged will ever be acknowledged. Caller holds l.mu.
+func (l *Log) poisonLocked(err error) (orphans []*pendingAppend) {
 	if l.crashErr == nil {
 		l.crashErr = err
 	}
-	l.mu.Unlock()
+	orphans, l.pending = l.pending, nil
+	for _, q := range [][]shipBatch{l.inflight, l.shipQ} {
+		for _, b := range q {
+			orphans = append(orphans, b.members...)
+		}
+	}
+	l.inflight, l.shipQ = nil, nil
+	l.noteShipQueueLocked()
+	return orphans
+}
+
+// finish hands each parked Append its outcome (nil acknowledges it).
+func finish(members []*pendingAppend, err error) {
+	for _, p := range members {
+		p.done <- err
+	}
 }
 
 // Append durably appends one commit record and returns its LSN. With group
-// commit enabled, the call blocks until the record's batch is flushed; the
-// returned error is the batch's outcome (a *sim.CrashError if a crash point
-// killed the flush before this record was acknowledged).
+// commit enabled, the call blocks until the record's batch is flushed, and
+// with a shipper installed (either mode) until a shipper call covering the
+// record has returned; the returned error is that outcome (a *sim.CrashError
+// if a crash point killed either stage before this record was acknowledged).
 func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 	l.appends.Add(1)
 	if om := l.om.Load(); om != nil {
@@ -362,20 +426,28 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 		return 0, err
 	}
 	lsn := l.nextLSN
-	l.nextLSN++
-	rec := Record{LSN: lsn, TxnID: txnID, Ops: ops}
-	enc, err := encodeRecord(rec)
+	enc, err := encodeRecord(Record{LSN: lsn, TxnID: txnID, Ops: ops})
 	if err != nil {
 		l.mu.Unlock()
 		return 0, err
 	}
+	l.nextLSN++
 	off := len(l.buf)
 	l.buf = append(l.buf, enc...)
-	raw := l.buf[off:len(l.buf):len(l.buf)]
 	// Stage on the device inside the same critical section as the in-memory
 	// append: device byte order must match LSN order even when concurrent
 	// Appends race to the flush below.
 	devErr := l.dev.Append(enc)
+	// With a shipper installed the record joins the ship queue here too, for
+	// the same reason: the syncs below finish in any order, the queue must be
+	// in LSN order. The ship stage takes it once the durable frontier covers
+	// it.
+	var p *pendingAppend
+	if devErr == nil && l.shipper.Load() != nil {
+		p = &pendingAppend{lsn: lsn, done: make(chan error, 1)}
+		l.shipQ = append(l.shipQ, shipBatch{off: off, end: len(l.buf), first: lsn, last: lsn, members: []*pendingAppend{p}})
+		l.noteShipQueueLocked()
+	}
 	l.mu.Unlock()
 	if devErr != nil {
 		devErr = fmt.Errorf("wal: device append: %w", devErr)
@@ -387,20 +459,13 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 		return 0, err
 	}
 	l.advanceDurable(lsn)
-	// Mirror the group-commit contract for the ship crash points: a crash
-	// panic becomes this record's Append error and poisons the log.
-	err = func() (err error) {
-		defer func() { err = sim.RecoverCrash(recover(), err) }()
-		l.ship(raw, lsn, lsn)
-		return nil
-	}()
-	if err != nil {
-		l.mu.Lock()
-		l.crashErr = err
-		l.mu.Unlock()
-		return 0, err
+	if p == nil {
+		return lsn, nil
 	}
-	return lsn, nil
+	l.mu.Lock()
+	l.kickShipperLocked()
+	l.mu.Unlock()
+	return lsn, <-p.done
 }
 
 // appendGroup enqueues the record and blocks until its batch is flushed.
@@ -413,12 +478,12 @@ func (l *Log) appendGroup(txnID uint64, ops []Op) (uint64, error) {
 		return 0, err
 	}
 	lsn := l.nextLSN
-	l.nextLSN++
 	enc, err := encodeRecord(Record{LSN: lsn, TxnID: txnID, Ops: ops})
 	if err != nil {
 		l.mu.Unlock()
 		return 0, err
 	}
+	l.nextLSN++
 	p := &pendingAppend{lsn: lsn, enc: enc, done: make(chan error, 1)}
 	l.pending = append(l.pending, p)
 	if len(l.pending) >= l.opt.maxBatch() {
@@ -458,16 +523,12 @@ func (l *Log) runFlusher() {
 
 		l.mu.Lock()
 		if err != nil {
-			// Crash fired: poison the log and fail everything still queued —
-			// the process died; nothing unflushed will ever be acknowledged.
-			l.crashErr = err
-			rest := l.pending
-			l.pending = nil
+			// Crash fired: poison the log and fail everything still parked in
+			// either stage.
+			orphans := l.poisonLocked(err)
 			l.flushing = false
 			l.mu.Unlock()
-			for _, p := range rest {
-				p.done <- err
-			}
+			finish(orphans, err)
 			return
 		}
 		if len(l.pending) == 0 {
@@ -499,14 +560,21 @@ func (l *Log) waitWindow() {
 	}
 }
 
-// flushBatch makes one batch durable with a single fsync and acknowledges
-// its members. A fired crash point is caught here and returned: before the
-// fsync, none of the batch has reached the durable image (on a real device
+// flushBatch is the fsync stage: it makes one batch durable with a single
+// fsync and then either acknowledges its members (no shipper installed) or
+// hands them to the ship stage and returns, so the next batch's fsync overlaps
+// this one's ship. A fired crash point is caught here and returned: before
+// the fsync, none of the batch has reached the durable image (on a real device
 // the batch's bytes are at most staged, never synced — a process death loses
 // them); after it, all of it has, but no member is acknowledged — either
 // way, no torn batches. Device errors are returned like crashes: the log is
 // poisoned and the whole batch fails.
+//
+// The leader's own fsync is deliberately not overlapped with the ship: a
+// follower holding bytes the leader lost would, after a cold restart of the
+// leader, skip the leader's reused LSNs as already applied.
 func (l *Log) flushBatch(batch []*pendingAppend) error {
+	queued := false
 	err := func() (err error) {
 		defer func() { err = sim.RecoverCrash(recover(), err) }()
 		l.opt.Crash.Check(CrashPointBeforeFsync)
@@ -515,8 +583,8 @@ func (l *Log) flushBatch(batch []*pendingAppend) error {
 		for _, p := range batch {
 			l.buf = append(l.buf, p.enc...)
 		}
-		raw := l.buf[off:len(l.buf):len(l.buf)]
-		devErr := l.dev.Append(raw)
+		end := len(l.buf)
+		devErr := l.dev.Append(l.buf[off:end:end])
 		l.mu.Unlock()
 		if devErr != nil {
 			return fmt.Errorf("wal: device append: %w", devErr)
@@ -527,25 +595,129 @@ func (l *Log) flushBatch(batch []*pendingAppend) error {
 		first, last := batch[0].lsn, batch[len(batch)-1].lsn
 		l.advanceDurable(last)
 		l.opt.Crash.Check(CrashPointAfterFsync)
-		l.ship(raw, first, last)
+		if l.shipper.Load() == nil {
+			return nil
+		}
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.crashErr != nil {
+			return l.crashErr // the ship stage died during this fsync
+		}
+		l.shipQ = append(l.shipQ, shipBatch{off: off, end: end, first: first, last: last, members: batch})
+		l.noteShipQueueLocked()
+		l.kickShipperLocked()
+		queued = true
 		return nil
 	}()
 	if om := l.om.Load(); om != nil {
 		om.batches.Inc()
 		om.batchSize.ObserveValue(int64(len(batch)))
 	}
-	for _, p := range batch {
-		p.done <- err
+	if !queued {
+		finish(batch, err)
 	}
 	return err
 }
 
+// kickShipperLocked starts the ship stage if it is not running and the head
+// of the ship queue is durable. Caller holds l.mu.
+func (l *Log) kickShipperLocked() {
+	if !l.shipping && l.shippableLocked() > 0 {
+		l.shipping = true
+		go l.runShipper()
+	}
+}
+
+// shippableLocked returns how many batches at the head of the ship queue one
+// shipper call can cover: those at or below the durable frontier (per-commit
+// records queue at staging time, before their sync) that are contiguous in
+// the log image. Caller holds l.mu.
+func (l *Log) shippableLocked() int {
+	durable := l.durable.Load()
+	n := 0
+	for n < len(l.shipQ) && l.shipQ[n].last <= durable &&
+		(n == 0 || l.shipQ[n].off == l.shipQ[n-1].end) {
+		n++
+	}
+	return n
+}
+
+// noteShipQueueLocked publishes the ship stage's depth. Caller holds l.mu.
+func (l *Log) noteShipQueueLocked() {
+	if om := l.om.Load(); om != nil {
+		om.shipQueue.Set(int64(len(l.shipQ) + len(l.inflight)))
+	}
+}
+
+// runShipper is the ship stage: take everything shippable as one contiguous
+// byte range, make one shipper call for it, acknowledge the members it
+// covered, repeat until nothing is shippable, then give the role up. The
+// goroutine exists only while there is something to ship, so an idle log
+// (and a log with no shipper) runs none.
+//
+// A repl/ship crash point fired here poisons the log exactly like one in the
+// fsync stage. A round whose call was still out when the other stage died
+// finds its members already failed (poisonLocked emptied inflight) and
+// acknowledges nobody.
+func (l *Log) runShipper() {
+	for {
+		l.mu.Lock()
+		n := l.shippableLocked()
+		if n == 0 {
+			l.shipping = false
+			l.mu.Unlock()
+			return
+		}
+		l.inflight, l.shipQ = l.shipQ[:n:n], l.shipQ[n:]
+		first, last := l.inflight[0].first, l.inflight[n-1].last
+		end := l.inflight[n-1].end
+		raw := l.buf[l.inflight[0].off:end:end]
+		l.mu.Unlock()
+
+		err := func() (err error) {
+			defer func() { err = sim.RecoverCrash(recover(), err) }()
+			l.ship(raw, first, last)
+			return nil
+		}()
+
+		l.mu.Lock()
+		var members []*pendingAppend
+		if err != nil {
+			members = l.poisonLocked(err)
+			l.shipping = false
+		} else {
+			for _, b := range l.inflight {
+				members = append(members, b.members...)
+			}
+			l.inflight = nil
+			l.noteShipQueueLocked()
+		}
+		l.mu.Unlock()
+		finish(members, err)
+		if err != nil {
+			return
+		}
+	}
+}
+
 // Recover reopens a log poisoned by a fired crash point: the durable image
-// is kept as-is (it is what survived), the unflushed queue was already
-// failed by the dying leader. The engine calls this from its own Recover.
+// is kept as-is (it is what survived), both queues were already failed by the
+// dying stage. The engine calls this from its own Recover.
+//
+// LSNs handed to appends that died unflushed were never written; Recover
+// frees them, as a cold restart would (Load), so the log stays gapless and a
+// follower, which refuses a chunk that skips an LSN, can keep following a
+// recovered leader. Batches that were durable but unshipped at the crash are
+// not re-shipped: the first shipper call after Recover starts past them, the
+// follower refuses it and fetches them through catch-up.
 func (l *Log) Recover() {
 	l.mu.Lock()
-	l.crashErr = nil
+	if l.crashErr != nil {
+		if _, _, last, err := SliceFrom(l.buf, 0); err == nil {
+			l.nextLSN = max(last, l.durable.Load()) + 1
+		}
+		l.crashErr = nil
+	}
 	l.mu.Unlock()
 }
 
