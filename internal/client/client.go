@@ -13,6 +13,7 @@
 package client
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -52,12 +53,13 @@ type Config struct {
 	// tests use to wrap or substitute the transport. The returned conn must
 	// not be handshaken; the client performs the handshake itself.
 	Dial func(addr string, timeout time.Duration) (net.Conn, error)
-	// RetryConnLost opts RunTxn and Begin into treating lost connections and
-	// failed dials as retryable, the way the paper's web stacks blindly
-	// re-run a transaction whose database connection died. Off by default
-	// because a conn lost mid-COMMIT is ambiguous — the transaction may have
-	// committed — so only workloads whose effects are safe to double-apply
-	// (or that verify via an oracle) should enable it.
+	// RetryConnLost opts RunTxn and a transaction's opening frame into
+	// treating lost connections and failed dials as retryable, the way the
+	// paper's web stacks blindly re-run a transaction whose database
+	// connection died. Off by default because a conn lost mid-COMMIT is
+	// ambiguous — the transaction may have committed — so only workloads
+	// whose effects are safe to double-apply (or that verify via an oracle)
+	// should enable it.
 	RetryConnLost bool
 }
 
@@ -94,8 +96,8 @@ type Client struct {
 	retries atomic.Int64
 }
 
-// Retries returns the total number of backoff-retries taken so far (BEGIN
-// admission retries plus RunTxn transaction retries) — the wire-level
+// Retries returns the total number of backoff-retries taken so far (opening-
+// frame admission retries plus RunTxn transaction retries) — the wire-level
 // analogue of the engine's retry counter.
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
@@ -143,6 +145,7 @@ func (c *Client) isClosed() bool {
 // reusable codec buffers. Owned by exactly one goroutine at a time.
 type conn struct {
 	nc       net.Conn
+	br       *bufio.Reader // every frame is read through it
 	cfg      *Config
 	readBuf  []byte
 	writeBuf []byte
@@ -156,7 +159,7 @@ func (cn *conn) close() { _ = cn.nc.Close() }
 // next call). A wire-level failure poisons the connection; the caller must
 // discard it.
 func (cn *conn) roundTrip(req *wire.Request) (*wire.Response, error) {
-	out, err := wire.AppendRequest(cn.writeBuf[:0], req)
+	out, err := wire.AppendRequest(wire.StartFrame(cn.writeBuf), req)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +169,7 @@ func (cn *conn) roundTrip(req *wire.Request) (*wire.Response, error) {
 	if err := wire.WriteFrame(cn.nc, out); err != nil {
 		return nil, err
 	}
-	payload, err := wire.ReadFrame(cn.nc, cn.readBuf)
+	payload, err := wire.ReadFrame(cn.br, cn.readBuf)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +199,9 @@ func (c *Client) dial() (*conn, error) {
 		return nil, err
 	}
 	_ = nc.SetDeadline(time.Time{})
-	return &conn{nc: nc, cfg: &c.cfg, lastUsed: time.Now()}, nil
+	// The handshake read exactly its six bytes off the socket, so nothing
+	// the server sent after them (an admission rejection) is lost to br.
+	return &conn{nc: nc, br: bufio.NewReader(nc), cfg: &c.cfg, lastUsed: time.Now()}, nil
 }
 
 // get checks a connection out of the pool, health-checking stale ones and
@@ -276,8 +281,17 @@ func (c *Client) backoff(i int) {
 // goroutine only. Every Txn must end in Commit or Rollback, which releases
 // the connection; abandoning one leaks it until the server's idle reaper
 // rolls the session back.
+//
+// The transaction opens on its first statement, not at Begin: that frame
+// checks the connection out and carries the begin, so BEGIN costs no round
+// trip of its own and the snapshot is taken when the first statement runs —
+// PostgreSQL's behaviour, and MySQL's without WITH CONSISTENT SNAPSHOT.
 type Txn struct {
-	c         *Client
+	c    *Client
+	iso  engine.Isolation
+	opts BeginOpts
+	// cn is nil until a server has accepted the begin riding on the first
+	// statement; from then on the transaction owns it.
 	cn        *conn
 	done      bool
 	commitLSN uint64
@@ -310,14 +324,55 @@ type Rows struct {
 	Rows [][]storage.Value
 }
 
-// Begin opens a remote transaction, retrying admission rejection
-// (CodeSaturated) with backoff up to MaxRetries.
+// Begin returns a handle for a remote transaction. Nothing is sent and no
+// connection is checked out until the first statement (see Txn).
 func (c *Client) Begin(iso engine.Isolation) (*Txn, error) {
 	return c.BeginWith(iso, BeginOpts{})
 }
 
 // BeginWith is Begin with replication-aware options.
 func (c *Client) BeginWith(iso engine.Isolation, opts BeginOpts) (*Txn, error) {
+	if c.isClosed() {
+		return nil, ErrClosed
+	}
+	return &Txn{c: c, iso: iso, opts: opts}, nil
+}
+
+// Opened reports whether a server accepted the transaction's begin. It is
+// false before the first statement and stays false when that statement's
+// frame was rejected at the begin or never got through: nothing ran on the
+// node, which is what lets a router treat the failure as a routing miss.
+func (t *Txn) Opened() bool { return t.cn != nil }
+
+// beginRejected reports whether the typed answer to an opening frame came
+// from its begin, so that no transaction is open and the statement did not
+// run. Only CodeNotLeader needs context: a writable begin on a follower draws
+// it, and so does a write statement inside an accepted read-only
+// transaction. CodeBadRequest (bad isolation from the begin, bad lock mode
+// from the statement) is left to the statement's side: the ROLLBACK that
+// ends the handle then settles the session either way.
+func beginRejected(code wire.Code, readOnly bool) bool {
+	switch code {
+	case wire.CodeTxnOpen, wire.CodeShutdown, wire.CodeStaleRead:
+		return true
+	case wire.CodeNotLeader:
+		return !readOnly
+	default:
+		return false
+	}
+}
+
+// open sends the transaction's first statement with the begin riding on it.
+// This is where admission is retried: a CodeSaturated answer or an I/O
+// failure of this one frame (the server may have force-closed a saturated
+// connection) is retried on a fresh connection after a backoff, up to
+// MaxRetries; a failed dial is retried the same way under RetryConnLost.
+// Retrying is safe because nothing the frame did can outlive its connection:
+// the session that ran it rolls back when the connection closes.
+func (t *Txn) open(req *wire.Request) (*wire.Response, error) {
+	c := t.c
+	req.Begin, req.Iso = true, uint8(t.iso)
+	req.ReadOnly, req.MinLSN, req.OCC = t.opts.ReadOnly, t.opts.MinLSN, t.opts.OCC
 	var lastErr error
 	for i := 0; i < c.cfg.MaxRetries; i++ {
 		cn, err := c.get()
@@ -328,32 +383,39 @@ func (c *Client) BeginWith(iso engine.Isolation, opts BeginOpts) (*Txn, error) {
 				c.backoff(i)
 				continue
 			}
+			t.done = true
 			return nil, err
 		}
-		resp, err := cn.roundTrip(&wire.Request{
-			Op: wire.OpBegin, Iso: uint8(iso),
-			ReadOnly: opts.ReadOnly, MinLSN: opts.MinLSN, OCC: opts.OCC,
-		})
+		resp, err := cn.roundTrip(req)
 		if err != nil {
-			// I/O failure: the server may have force-closed a saturated
-			// connection; treat like saturation and retry on a fresh dial.
 			cn.close()
 			lastErr = err
 			c.backoff(i)
 			continue
 		}
-		if rerr := resp.Err(); rerr != nil {
+		switch {
+		case resp.Code == wire.CodeSaturated:
 			cn.close()
-			lastErr = rerr
-			if wire.IsRetryable(rerr) {
-				c.backoff(i)
-				continue
+			lastErr = resp.Err()
+			c.backoff(i)
+			continue
+		case beginRejected(resp.Code, t.opts.ReadOnly):
+			t.done = true
+			rerr := resp.Err()
+			if resp.Code == wire.CodeStaleRead || resp.Code == wire.CodeNotLeader {
+				// A redirect: the session is as it was, so the connection
+				// goes back to the pool clean.
+				c.put(cn)
+			} else {
+				cn.close()
 			}
 			return nil, rerr
 		}
-		return &Txn{c: c, cn: cn}, nil
+		t.cn = cn
+		return t.answer(resp)
 	}
-	return nil, fmt.Errorf("client: BEGIN gave up after %d attempts: %w", c.cfg.MaxRetries, lastErr)
+	t.done = true
+	return nil, fmt.Errorf("client: opening frame gave up after %d attempts: %w", c.cfg.MaxRetries, lastErr)
 }
 
 // exec round-trips one request on the transaction's connection. A
@@ -362,31 +424,37 @@ func (t *Txn) exec(req *wire.Request) (*wire.Response, error) {
 	if t.done {
 		return nil, engine.ErrTxnDone
 	}
+	if t.cn == nil {
+		return t.open(req)
+	}
 	resp, err := t.cn.roundTrip(req)
 	if err != nil {
 		t.done = true
 		t.cn.close()
 		return nil, fmt.Errorf("%w: %v", engine.ErrConnLost, err)
 	}
-	if rerr := resp.Err(); rerr != nil {
-		// Typed engine errors that abort the transaction server-side leave
-		// the session txn-less; finish the handle so the caller's deferred
-		// Rollback doesn't double-fault. The connection itself is healthy.
-		// A lock timeout is NOT in this set: the engine keeps the
-		// transaction open and usable (MySQL semantics), so the handle
-		// stays live and still owns the connection — the caller may retry
-		// the statement or Rollback.
-		var we *wire.Error
-		if errors.As(rerr, &we) {
-			switch we.Code {
-			case wire.CodeDeadlock, wire.CodeSerialization, wire.CodeOCCConflict, wire.CodeTxnDone:
-				t.done = true
-				t.c.put(t.cn)
-			}
-		}
-		return nil, rerr
+	return t.answer(resp)
+}
+
+// answer turns a statement's response into exec's result.
+func (t *Txn) answer(resp *wire.Response) (*wire.Response, error) {
+	rerr := resp.Err()
+	if rerr == nil {
+		return resp, nil
 	}
-	return resp, nil
+	// Typed engine errors that abort the transaction server-side leave
+	// the session txn-less; finish the handle so the caller's deferred
+	// Rollback doesn't double-fault. The connection itself is healthy.
+	// A lock timeout is NOT in this set: the engine keeps the
+	// transaction open and usable (MySQL semantics), so the handle
+	// stays live and still owns the connection — the caller may retry
+	// the statement or Rollback.
+	switch resp.Code {
+	case wire.CodeDeadlock, wire.CodeSerialization, wire.CodeOCCConflict, wire.CodeTxnDone:
+		t.done = true
+		t.c.put(t.cn)
+	}
+	return nil, rerr
 }
 
 // Select runs a locking or plain SELECT.
@@ -395,11 +463,12 @@ func (t *Txn) Select(table string, pred storage.Pred, lock wire.Lock) (*Rows, er
 	if err != nil {
 		return nil, err
 	}
-	out := &Rows{Cols: append([]string(nil), resp.Cols...)}
-	for _, row := range resp.Rows {
-		out.Rows = append(out.Rows, append([]storage.Value(nil), row...))
-	}
-	return out, nil
+	// The response reuses its Cols and Rows slices across requests, but each
+	// decoded row is its own allocation: copy the two outer slices only.
+	return &Rows{
+		Cols: append([]string(nil), resp.Cols...),
+		Rows: append([][]storage.Value(nil), resp.Rows...),
+	}, nil
 }
 
 // Insert inserts one row, returning its primary key.
@@ -439,7 +508,8 @@ func (t *Txn) Delete(table string, pred storage.Pred) (int, error) {
 	return int(resp.N), nil
 }
 
-// Commit commits and releases the connection back to the pool.
+// Commit commits and releases the connection back to the pool. On a
+// transaction that never sent a statement it sends nothing and returns nil.
 func (t *Txn) Commit() error { return t.finish(wire.OpCommit) }
 
 // Rollback rolls back and releases the connection. Safe on a finished
@@ -456,6 +526,9 @@ func (t *Txn) finish(op wire.Op) error {
 		return engine.ErrTxnDone
 	}
 	t.done = true
+	if t.cn == nil {
+		return nil // never opened: nothing to end, and no frame to send
+	}
 	resp, err := t.cn.roundTrip(&wire.Request{Op: op})
 	if err != nil {
 		t.cn.close()

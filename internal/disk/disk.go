@@ -372,8 +372,7 @@ func (s *Store) rotateLocked() error {
 		return fmt.Errorf("disk: creating segment: %w", err)
 	}
 	s.cur = s.opt.wrap(f)
-	hdr := appendHeader(nil, segMagic)
-	n, err := s.cur.Write(hdr)
+	n, err := s.cur.Write(appendHeader(nil, segMagic))
 	s.curSize = int64(n)
 	if err != nil {
 		return fmt.Errorf("disk: segment header: %w", err)

@@ -296,6 +296,15 @@ func (t *Txn) occCommit(commitStart time.Time) error {
 	e.cfg.Crash.Check(CrashPointOCCValidate)
 
 	e.mu.Lock()
+	// Look at the crashed flag again now that the latch is held. Crash sets
+	// it before taking the latch to empty the tables and the validation log,
+	// so a commit that passed Commit's check and got here after the wipe
+	// would validate against nothing, apply a stale write set and log it.
+	if e.crashed.Load() {
+		e.mu.Unlock()
+		t.rollbackState()
+		return ErrConnLost
+	}
 	if w, conflict := e.occLog.Conflicts(&s.reads, t.startCSN); conflict {
 		e.mu.Unlock()
 		t.occAbortConflict(w)

@@ -406,3 +406,58 @@ func TestOCCModeDefaultFromConfig(t *testing.T) {
 		t.Fatal("Mode.String mismatch")
 	}
 }
+
+// TestOCCCommitRacingCrashLeavesNothingDurable: Commit checks the crashed
+// flag before it takes the store latch, so a crash can land between the two.
+// The commit must look again under the latch: by then Crash has emptied the
+// tables and the validation log, and a transaction validating against the
+// empty log passes, applies its stale write and appends it to the WAL — a
+// durable lost update once recovery replays it. The chaos OCC sweep found
+// this at a few failing seeds per hundred. Each round here dooms one
+// transaction (its read is overwritten by a durable commit), then races its
+// Commit against Crash: whichever wins, its write must never be recovered.
+func TestOCCCommitRacingCrashLeavesNothingDurable(t *testing.T) {
+	var e *Engine
+	setBal := func(tx *Txn, bal int64) error {
+		_, err := tx.Update("acct", storage.ByPK(1), map[string]storage.Value{"bal": bal})
+		return err
+	}
+	const doomedBal = -999
+	for round := int64(1); round <= 3000; round++ {
+		if round%300 == 1 { // a fresh engine now and then keeps WAL replay short
+			e = occEngine(t)
+			occSeed(t, e, [2]int64{1, 0})
+		}
+		doomed := e.BeginMode(ModeOCC, IsolationDefault)
+		if _, err := doomed.SelectOne("acct", storage.ByPK(1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := setBal(doomed, doomedBal); err != nil {
+			t.Fatal(err)
+		}
+		// A durable commit to the row it read: doomed can no longer validate.
+		if err := e.RunMode(ModeOCC, IsolationDefault, func(tx *Txn) error { return setBal(tx, round) }); err != nil {
+			t.Fatal(err)
+		}
+
+		var wg sync.WaitGroup
+		var gate sync.WaitGroup
+		gate.Add(1)
+		wg.Add(2)
+		var commitErr error
+		go func() { defer wg.Done(); gate.Wait(); commitErr = doomed.Commit() }()
+		go func() { defer wg.Done(); gate.Wait(); e.Crash() }()
+		gate.Done()
+		wg.Wait()
+		if commitErr == nil {
+			t.Fatalf("round %d: a transaction whose read was overwritten committed", round)
+		}
+		if err := e.Recover(); err != nil {
+			t.Fatal(err)
+		}
+		if got := occBal(t, e, 1); got != round {
+			t.Fatalf("round %d: recovered balance %d, want %d: the commit that raced the crash became durable",
+				round, got, round)
+		}
+	}
+}

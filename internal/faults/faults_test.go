@@ -102,10 +102,10 @@ func TestTruncateTearsInsideFrame(t *testing.T) {
 	defer srvRaw.Close()
 	nc := inj.WrapConn(cliRaw)
 
-	payload := bytes.Repeat([]byte{0x01}, 64)
+	frame := append(wire.StartFrame(nil), bytes.Repeat([]byte{0x01}, 64)...)
 	writeErr := make(chan error, 1)
 	go func() {
-		writeErr <- wire.WriteFrame(nc, payload)
+		writeErr <- wire.WriteFrame(nc, frame)
 	}()
 
 	_, err := wire.ReadFrame(srvRaw, nil)

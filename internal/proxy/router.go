@@ -287,9 +287,10 @@ func (r *Router) RunReadTxnPK(pk int64, iso engine.Isolation, fn func(*client.Tx
 }
 
 // RunReadTxn runs fn as a read-only transaction against one of the
-// partition's followers, bounded-staleness guarded: the BEGIN carries the
-// partition's last observed commit LSN, and a follower that has not applied
-// that far rejects it with STALE_READ. Followers are tried round-robin;
+// partition's followers, bounded-staleness guarded: the begin (riding on the
+// first statement) carries the partition's last observed commit LSN, and a
+// follower that has not applied that far rejects it with STALE_READ.
+// Followers are tried round-robin;
 // when none qualifies (all stale, crashed, or there are none) the read
 // falls back to the leader, which trivially satisfies the bound.
 func (r *Router) RunReadTxn(part uint32, iso engine.Isolation, fn func(*client.Txn) error) error {
@@ -342,28 +343,39 @@ func (r *Router) readOnce(part uint32, iso engine.Isolation, fn func(*client.Txn
 }
 
 // readOn attempts the read-only transaction on one node. done=false means
-// "try the next candidate": the node is unreachable or too stale. Errors
-// out of fn itself, or from commit, are final for this candidate pass.
+// "try the next candidate": the node is unreachable or too stale. The begin
+// rides on fn's first statement, so that is where such a rejection now
+// surfaces; Txn.Opened tells it from a failure of the transaction proper.
+// Errors out of an opened transaction, or from commit, are final for this
+// candidate pass.
 func (r *Router) readOn(c *client.Client, iso engine.Isolation, opts client.BeginOpts, fn func(*client.Txn) error) (done bool, err error) {
 	t, err := c.BeginWith(iso, opts)
 	if err != nil {
-		if staleRead(err) {
-			return false, err
-		}
-		var we *wire.Error
-		if errors.As(err, &we) {
-			// A typed non-stale rejection (saturated after retries, bad
-			// request) is a real answer, not a routing miss.
-			return true, err
-		}
-		return false, err // transport-level: try the next node
+		return answered(err), err
 	}
 	defer func() { _ = t.Rollback() }()
 	if err := fn(t); err != nil {
+		if t.Done() && !t.Opened() {
+			// The opening frame was rejected or never arrived: nothing ran
+			// on this node.
+			return answered(err), err
+		}
 		return true, err
 	}
 	if t.Done() {
 		return true, engine.ErrTxnDone
 	}
 	return true, t.Commit()
+}
+
+// answered classifies the failure of a transaction that never opened on its
+// node: false for a stale follower or a transport-level failure (a routing
+// miss: try the next node), true for any other typed rejection (saturated
+// after retries, bad request), which is the node's real answer.
+func answered(err error) bool {
+	if staleRead(err) {
+		return false
+	}
+	var we *wire.Error
+	return errors.As(err, &we)
 }

@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"fmt"
+	"net"
 	"testing"
 	"time"
 
@@ -324,6 +325,115 @@ func TestRouterReadYourWrites(t *testing.T) {
 	}
 	if r.LeaderReadFallbacks() == 0 {
 		t.Fatal("read should have fallen back past the stale follower")
+	}
+}
+
+// TestRouterOpeningFrameRedirects: the begin rides on fn's first statement,
+// so every redirect a node used to give at BEGIN now comes back out of fn. A
+// rejected or undeliverable opening frame ran nothing on that node and is a
+// routing miss (next candidate, leader fallback, leader hint); an error of
+// fn's own, before or after the transaction opened, is still final.
+func TestRouterOpeningFrameRedirects(t *testing.T) {
+	errApp := errors.New("application says no")
+	selectAll := func(txn *client.Txn) error {
+		_, err := txn.Select("accounts", storage.All{}, wire.LockNone)
+		return err
+	}
+	deadAddr := func(t *testing.T) string {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ln.Close()
+		return ln.Addr().String()
+	}
+	cases := []struct {
+		name     string
+		follower func(t *testing.T, leader string) string // the node tried first
+		write    bool                                     // RunTxn, not RunReadTxn
+		fn       func(*client.Txn) error
+		wantErr  error
+		calls    int // times fn ran
+		fallback int64
+		redirect int64
+	}{
+		{
+			name: "stale_read on the first statement",
+			follower: func(t *testing.T, _ string) string {
+				return startNode(t, server.Config{
+					Writable: func() bool { return false }, AppliedLSN: func() uint64 { return 9 },
+				}).addr()
+			},
+			fn: selectAll, calls: 2, fallback: 1,
+		},
+		{
+			name:     "failed dial on the first statement",
+			follower: func(t *testing.T, _ string) string { return deadAddr(t) },
+			fn:       selectAll, calls: 2, fallback: 1,
+		},
+		{
+			name: "not_leader on the first statement",
+			follower: func(t *testing.T, leader string) string {
+				return startNode(t, server.Config{
+					Writable: func() bool { return false }, LeaderHint: func() string { return leader },
+				}).addr()
+			},
+			write: true,
+			fn: func(txn *client.Txn) error {
+				_, err := txn.Insert("accounts", map[string]storage.Value{"bal": int64(1)})
+				return err
+			},
+			calls: 2, redirect: 1,
+		},
+		{
+			name: "fn's own error before any statement",
+			follower: func(t *testing.T, _ string) string {
+				return startNode(t, server.Config{Writable: func() bool { return false }}).addr()
+			},
+			fn: func(*client.Txn) error { return errApp }, wantErr: errApp, calls: 1,
+		},
+		{
+			name: "fn's own error after the transaction opened",
+			follower: func(t *testing.T, _ string) string {
+				return startNode(t, server.Config{Writable: func() bool { return false }}).addr()
+			},
+			fn: func(txn *client.Txn) error {
+				if err := selectAll(txn); err != nil {
+					return err
+				}
+				return errApp
+			},
+			wantErr: errApp, calls: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			leader := startNode(t, server.Config{})
+			first := tc.follower(t, leader.addr())
+			nodes := PartitionNodes{Leader: leader.addr(), Followers: []string{first}}
+			if tc.write {
+				nodes = PartitionNodes{Leader: first} // stale topology: a follower listed as leader
+			}
+			r := NewRouter(RouterConfig{Partitions: []PartitionNodes{nodes}})
+			defer r.Close()
+			r.lastLSN[0].Store(10)
+
+			calls := 0
+			fn := func(txn *client.Txn) error { calls++; return tc.fn(txn) }
+			var err error
+			if tc.write {
+				err = r.RunTxn(0, engine.IsolationDefault, fn)
+			} else {
+				err = r.RunReadTxn(0, engine.IsolationDefault, fn)
+			}
+			if !errors.Is(err, tc.wantErr) { // a nil wantErr matches only a nil err
+				t.Fatalf("err = %v, want %v", err, tc.wantErr)
+			}
+			if calls != tc.calls || r.LeaderReadFallbacks() != tc.fallback || r.Redirects() != tc.redirect {
+				t.Fatalf("fn ran %d times, %d leader fallbacks, %d redirects; want %d, %d, %d",
+					calls, r.LeaderReadFallbacks(), r.Redirects(), tc.calls, tc.fallback, tc.redirect)
+			}
+		})
 	}
 }
 

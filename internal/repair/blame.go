@@ -32,7 +32,7 @@ type Blame struct {
 	ScheduleID string
 	// Violation is the oracle error the replayed schedule reproduced.
 	Violation string
-	Targets    []Target
+	Targets   []Target
 
 	ix *provenance.Index
 }

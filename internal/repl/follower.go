@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bufio"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -184,7 +185,7 @@ func (f *Follower) stream() (err error) {
 	if err := wire.ClientHandshake(conn); err != nil {
 		return err
 	}
-	sub, err := wire.AppendReplFrame(nil, &wire.ReplFrame{
+	sub, err := wire.AppendReplFrame(wire.StartFrame(nil), &wire.ReplFrame{
 		Kind:      wire.ReplSubscribe,
 		Partition: f.cfg.Partition,
 		Epoch:     f.epoch.Load(),
@@ -197,10 +198,11 @@ func (f *Follower) stream() (err error) {
 		return err
 	}
 
-	var buf []byte
+	br := bufio.NewReader(conn) // the stream's one reader
+	var buf, ack []byte
 	var fr wire.ReplFrame
 	for {
-		payload, rerr := wire.ReadFrame(conn, buf)
+		payload, rerr := wire.ReadFrame(br, buf)
 		if rerr != nil {
 			return rerr
 		}
@@ -224,7 +226,7 @@ func (f *Follower) stream() (err error) {
 				f.applyHist.Since(start)
 			}
 			f.cfg.Crash.Check(CrashPointApplyAfter)
-			ack, aerr := wire.AppendReplFrame(nil, &wire.ReplFrame{
+			ack, aerr = wire.AppendReplFrame(wire.StartFrame(ack), &wire.ReplFrame{
 				Kind: wire.ReplAck, Epoch: fr.Epoch, AckLSN: applied,
 			})
 			if aerr != nil {

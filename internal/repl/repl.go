@@ -29,6 +29,7 @@
 package repl
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -229,7 +230,11 @@ func (l *Leader) serveFollower(conn net.Conn) {
 	if err := wire.ServerHandshake(conn); err != nil {
 		return
 	}
-	payload, err := wire.ReadFrame(conn, nil)
+	// One buffered reader for the whole stream: the subscribe frame here and
+	// the ack loop below. A second reader would strand whatever the first
+	// had read ahead.
+	br := bufio.NewReader(conn)
+	payload, err := wire.ReadFrame(br, nil)
 	if err != nil {
 		return
 	}
@@ -274,13 +279,20 @@ func (l *Leader) serveFollower(conn net.Conn) {
 	go func() { // writer: catch-up snapshot first, then drain the outbox
 		defer close(done)
 		for _, ch := range snapshot {
-			if err := wire.WriteFrame(conn, ch.encode(l.cfg.Epoch, wire.ReplSnapshot)); err != nil {
+			frame := ch.encode(l.cfg.Epoch, wire.ReplSnapshot)
+			if frame == nil {
+				conn.Close() // a record too large to frame: nothing to send
+				return
+			}
+			if _, err := conn.Write(frame); err != nil {
 				conn.Close() // unblocks the reader below
 				return
 			}
 		}
+		// Outbox frames are sealed by Ship and shared by every follower's
+		// writer, so they are written as they are: one Write per frame.
 		for frame := range fc.outbox {
-			if err := wire.WriteFrame(conn, frame); err != nil {
+			if _, err := conn.Write(frame); err != nil {
 				conn.Close()
 				return
 			}
@@ -290,7 +302,7 @@ func (l *Leader) serveFollower(conn net.Conn) {
 	var buf []byte
 	var ack wire.ReplFrame
 	for { // reader: acks
-		payload, err := wire.ReadFrame(conn, buf)
+		payload, err := wire.ReadFrame(br, buf)
 		if err != nil {
 			break
 		}
@@ -384,20 +396,22 @@ func (l *Leader) ackNeeded() int {
 // the point. The flusher is not held meanwhile: the batches it fsyncs during
 // this call arrive together as the next call's range.
 func (l *Leader) Ship(raw []byte, first, last uint64) {
-	frame, err := wire.AppendReplFrame(nil, &wire.ReplFrame{
-		Kind: wire.ReplBatch, Epoch: l.cfg.Epoch,
-		FirstLSN: first, LastLSN: last, Raw: raw,
-	})
-	if err != nil {
-		return
-	}
+	frame := chunk{raw: raw, first: first, last: last}.encode(l.cfg.Epoch, wire.ReplBatch)
 	l.mu.Lock()
 	for fc := range l.followers {
-		select {
-		case fc.outbox <- frame:
-		default:
-			// Hopelessly behind: cut it off rather than stall the ship stage.
-			// It reconnects through catch-up.
+		queued := false
+		if frame != nil {
+			select {
+			case fc.outbox <- frame:
+				queued = true
+			default:
+			}
+		}
+		if !queued {
+			// Hopelessly behind (outbox full), or the range does not fit one
+			// frame: cut it off rather than stall the ship stage. It
+			// reconnects through catch-up, which re-sends the range in
+			// chunks, and the quorum wait below still holds these commits.
 			fc.conn.Close()
 		}
 	}
@@ -454,10 +468,15 @@ type chunk struct {
 	first, last uint64
 }
 
+// encode returns the chunk as a sealed frame, length prefix filled in, ready
+// for a single conn.Write (nil if it cannot be framed).
 func (c chunk) encode(epoch uint64, kind wire.ReplKind) []byte {
-	b, _ := wire.AppendReplFrame(nil, &wire.ReplFrame{
+	b, err := wire.AppendReplFrame(wire.StartFrame(nil), &wire.ReplFrame{
 		Kind: kind, Epoch: epoch, FirstLSN: c.first, LastLSN: c.last, Raw: c.raw,
 	})
+	if err != nil || wire.SealFrame(b) != nil {
+		return nil
+	}
 	return b
 }
 

@@ -162,7 +162,7 @@ func TestPCTFindsBuggyVariants(t *testing.T) {
 func TestValidateRejects(t *testing.T) {
 	base := func() *Spec { s, _ := Builtin("saleor-capture"); return s }
 	cases := []struct {
-		name  string
+		name   string
 		break_ func(*Spec)
 	}{
 		{"bad name", func(s *Spec) { s.Name = "has space" }},

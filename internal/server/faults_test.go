@@ -140,12 +140,12 @@ func commitExpectingDeath(t *testing.T, srv *Server, qty int64) {
 		Op: wire.OpUpdate, Table: "skus", Pred: storage.ByPK(1),
 		Cols: []string{"qty"}, Vals: []storage.Value{qty},
 	})
-	payload, err := wire.AppendRequest(nil, &wire.Request{Op: wire.OpCommit})
+	frame, err := wire.AppendRequest(wire.StartFrame(nil), &wire.Request{Op: wire.OpCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteFrame(nc, payload); err == nil {
+	if err := wire.WriteFrame(nc, frame); err == nil {
 		// Any conn-death error shape is acceptable; a clean response is not.
 		if _, err := wire.ReadFrame(nc, nil); err == nil {
 			t.Fatal("COMMIT at an armed crash point returned a response")

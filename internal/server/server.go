@@ -15,7 +15,7 @@
 package server
 
 import (
-	"encoding/binary"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -392,8 +392,7 @@ func (s *Server) admit(conn net.Conn) {
 		m.accepted.Inc()
 		m.active.Add(1)
 	}
-	sess := &session{srv: s, conn: conn, m: m}
-	sess.run()
+	newSession(s, conn, m).run()
 	<-s.slots
 	if m != nil {
 		m.active.Add(-1)
@@ -405,10 +404,10 @@ func (s *Server) reject(conn net.Conn, m *serverMetrics, msg string) {
 	if m != nil {
 		m.rejected.Inc()
 	}
-	payload, err := wire.AppendResponse(nil, &wire.Response{Code: wire.CodeSaturated, Msg: msg})
+	frame, err := wire.AppendResponse(wire.StartFrame(nil), &wire.Response{Code: wire.CodeSaturated, Msg: msg})
 	if err == nil {
 		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-		_ = wire.WriteFrame(conn, payload)
+		_ = wire.WriteFrame(conn, frame)
 	}
 	_ = conn.Close()
 }
@@ -420,6 +419,11 @@ type session struct {
 	srv  *Server
 	conn net.Conn
 	m    *serverMetrics
+	// br is the one reader every frame of the session is read through, and w
+	// the one writer: the conn itself, or the conn behind the byte counters
+	// when metrics are on. Both are made once, not per frame.
+	br *bufio.Reader
+	w  io.Writer
 
 	txn      *engine.Txn
 	readOnly bool
@@ -429,6 +433,20 @@ type session struct {
 	writeBuf []byte
 	req      wire.Request
 	resp     wire.Response
+}
+
+// newSession wraps an admitted, handshaken connection. The handshake read
+// its six bytes straight off the socket and never reads ahead, so the
+// buffered reader made here misses nothing.
+func newSession(srv *Server, conn net.Conn, m *serverMetrics) *session {
+	s := &session{srv: srv, conn: conn, m: m, w: conn}
+	var r io.Reader = conn
+	if m != nil {
+		r = &countReader{r: conn, c: m.bytesIn}
+		s.w = &countWriter{w: conn, c: m.bytesOut}
+	}
+	s.br = bufio.NewReader(r)
+	return s
 }
 
 // run serves requests until the client goes away, idles out, or the drain
@@ -474,7 +492,7 @@ func (s *session) run() {
 			}
 		}
 
-		out, err := wire.AppendResponse(s.writeBuf[:0], &s.resp)
+		out, err := wire.AppendResponse(wire.StartFrame(s.writeBuf), &s.resp)
 		if err != nil {
 			// Response encoding failures are programming errors; drop the
 			// session rather than desync the stream.
@@ -483,7 +501,7 @@ func (s *session) run() {
 		}
 		s.writeBuf = out
 		_ = s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
-		if err := wire.WriteFrame(s.countingWriter(), out); err != nil {
+		if err := wire.WriteFrame(s.w, out); err != nil {
 			_ = s.conn.Close()
 			return
 		}
@@ -510,33 +528,26 @@ func (s *session) run() {
 // can never roll a transaction back under a statement the client has
 // started sending. idle reports a true idle-reap (first-byte deadline);
 // timeouts mid-frame are a stalled or torn request, not idleness.
+//
+// Both stages read through s.br, so a frame that arrived whole costs one
+// Read of the socket (inside Peek), and a second frame that arrived in the
+// same segment is served from the buffer without touching the socket.
 func (s *session) readFrame() (payload []byte, idle bool, err error) {
-	r := s.countingReader()
-	var hdr [4]byte
 	// Idle reap doubles as dead-client detection: a killed client's FIN
 	// or RST fails the read immediately; a zombie client trips the
 	// deadline. Either way the caller's rollback releases its locks.
 	_ = s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.IdleTimeout))
-	if _, err := io.ReadFull(r, hdr[:1]); err != nil {
+	if _, err := s.br.Peek(1); err != nil {
 		return nil, isTimeout(err), err
 	}
 	// A frame is in flight: it gets its own (request-scale) deadline.
 	_ = s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
-	if _, err := io.ReadFull(r, hdr[1:]); err != nil {
+	payload, err = wire.ReadFrame(s.br, s.readBuf)
+	if err != nil {
 		return nil, false, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > wire.MaxFrame {
-		return nil, false, wire.ErrFrameTooLarge
-	}
-	if cap(s.readBuf) < int(n) {
-		s.readBuf = make([]byte, n)
-	}
-	buf := s.readBuf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, false, err
-	}
-	return buf, false, nil
+	s.readBuf = payload[:0]
+	return payload, false, nil
 }
 
 // rollbackOpen rolls back the session's open transaction, if any. reaped is
@@ -574,6 +585,13 @@ func (s *session) handle(payload []byte) wire.Op {
 	}
 	r := &s.req
 	s.resp.Reset()
+	if r.Begin {
+		// The statement opens its own transaction: begin first, and a
+		// rejected begin is the whole answer — the statement does not run.
+		if s.begin(r); s.resp.Code != wire.CodeOK {
+			return r.Op
+		}
+	}
 	switch r.Op {
 	case wire.OpPing:
 		// staged OK response suffices
@@ -857,23 +875,9 @@ func (s *session) kvCommand(r *wire.Request) {
 
 // ---- byte accounting ----
 
-// countingReader/Writer wrap the conn so wire framing feeds the byte
-// counters without a second buffer copy. With obs disabled they return the
-// conn unwrapped.
-func (s *session) countingReader() io.Reader {
-	if s.m == nil {
-		return s.conn
-	}
-	return &countReader{r: s.conn, c: s.m.bytesIn}
-}
-
-func (s *session) countingWriter() io.Writer {
-	if s.m == nil {
-		return s.conn
-	}
-	return &countWriter{w: s.conn, c: s.m.bytesOut}
-}
-
+// countReader/Writer sit between the conn and the session's framing so it
+// feeds the byte counters without a second buffer copy. newSession makes one
+// of each per session, and only when metrics are on.
 type countReader struct {
 	r io.Reader
 	c *obs.Counter

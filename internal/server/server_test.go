@@ -479,12 +479,12 @@ func dialRaw(t *testing.T, srv *Server) net.Conn {
 
 func rawRoundTrip(t *testing.T, nc net.Conn, req *wire.Request) *wire.Response {
 	t.Helper()
-	payload, err := wire.AppendRequest(nil, req)
+	frame, err := wire.AppendRequest(wire.StartFrame(nil), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_ = nc.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := wire.WriteFrame(nc, payload); err != nil {
+	if err := wire.WriteFrame(nc, frame); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := wire.ReadFrame(nc, nil)

@@ -14,10 +14,17 @@ import (
 // unused fields are zeroed by Reset.
 type Request struct {
 	Op   Op
-	Iso  uint8 // OpBegin: engine.Isolation
+	Iso  uint8 // begin: engine.Isolation
 	Lock Lock  // OpSelect
 
-	// ReadOnly marks an OpBegin transaction as read-only: routable to a
+	// Begin marks a statement (OpSelect/Insert/Update/Delete) that also opens
+	// its transaction: it carries the begin trailer, the bytes OpBegin
+	// carries (Iso, ReadOnly, MinLSN, OCC), and the server runs the begin
+	// first. A rejected begin is the frame's answer and the statement does
+	// not run. The trailer follows the statement body, so payload byte 1 is
+	// still the statement's Op.
+	Begin bool
+	// ReadOnly marks the begun transaction as read-only: routable to a
 	// follower replica. MinLSN is the bounded-staleness floor — the highest
 	// commit LSN this client has observed; a follower whose applied LSN is
 	// below it must reject the begin with CodeStaleRead rather than serve
@@ -47,7 +54,7 @@ type Request struct {
 // Reset clears the request for reuse, keeping slice capacity.
 func (r *Request) Reset() {
 	r.Op, r.Iso, r.Lock = OpInvalid, 0, LockNone
-	r.ReadOnly, r.MinLSN, r.OCC = false, 0, false
+	r.Begin, r.ReadOnly, r.MinLSN, r.OCC = false, false, 0, false
 	r.Table, r.Pred = "", nil
 	r.Cols, r.Vals = r.Cols[:0], r.Vals[:0]
 	r.Cmd, r.Key, r.SVal, r.TTL = KVInvalid, "", "", 0
@@ -371,12 +378,46 @@ const (
 	frameResponse uint8 = 0x02
 )
 
-// OpBegin flag bits.
+// Begin flag bits.
 const (
 	beginReadOnly  uint8 = 1 << 0
 	beginHasMinLSN uint8 = 1 << 1
 	beginOCC       uint8 = 1 << 2
 )
+
+// appendBegin encodes the begin fields: isolation, flags, and MinLSN when it
+// is non-zero. They are OpBegin's whole body and a statement's begin trailer.
+func appendBegin(b []byte, r *Request) []byte {
+	var bf uint8
+	if r.ReadOnly {
+		bf |= beginReadOnly
+	}
+	if r.MinLSN != 0 {
+		bf |= beginHasMinLSN
+	}
+	if r.OCC {
+		bf |= beginOCC
+	}
+	b = append(b, r.Iso, bf)
+	if bf&beginHasMinLSN != 0 {
+		b = appendUint64(b, r.MinLSN)
+	}
+	return b
+}
+
+func (d *decoder) begin(r *Request) {
+	r.Iso = d.u8("isolation")
+	bf := d.u8("begin flags")
+	r.ReadOnly = bf&beginReadOnly != 0
+	r.OCC = bf&beginOCC != 0
+	if bf&beginHasMinLSN != 0 {
+		r.MinLSN = d.u64("min lsn")
+	}
+}
+
+// statement reports whether op is one of the four statements, the requests
+// that may carry a begin trailer.
+func (o Op) statement() bool { return o >= OpSelect && o <= OpDelete }
 
 // AppendRequest encodes r into b (which should start empty but may carry
 // capacity from a previous request) and returns the extended slice.
@@ -385,20 +426,7 @@ func AppendRequest(b []byte, r *Request) ([]byte, error) {
 	var err error
 	switch r.Op {
 	case OpBegin:
-		var bf uint8
-		if r.ReadOnly {
-			bf |= beginReadOnly
-		}
-		if r.MinLSN != 0 {
-			bf |= beginHasMinLSN
-		}
-		if r.OCC {
-			bf |= beginOCC
-		}
-		b = append(b, r.Iso, bf)
-		if bf&beginHasMinLSN != 0 {
-			b = appendUint64(b, r.MinLSN)
-		}
+		b = appendBegin(b, r)
 	case OpCommit, OpRollback, OpPing:
 		// no body
 	case OpSelect:
@@ -436,6 +464,12 @@ func AppendRequest(b []byte, r *Request) ([]byte, error) {
 	default:
 		return b, fmt.Errorf("wire: cannot encode op %s", r.Op)
 	}
+	if r.Begin {
+		if !r.Op.statement() {
+			return b, fmt.Errorf("wire: op %s cannot carry a begin", r.Op)
+		}
+		b = appendBegin(b, r)
+	}
 	return b, nil
 }
 
@@ -465,13 +499,7 @@ func DecodeRequest(payload []byte, r *Request) error {
 	r.Op = Op(d.u8("op"))
 	switch r.Op {
 	case OpBegin:
-		r.Iso = d.u8("isolation")
-		bf := d.u8("begin flags")
-		r.ReadOnly = bf&beginReadOnly != 0
-		r.OCC = bf&beginOCC != 0
-		if bf&beginHasMinLSN != 0 {
-			r.MinLSN = d.u64("min lsn")
-		}
+		d.begin(r)
 	case OpCommit, OpRollback, OpPing:
 	case OpSelect:
 		r.Lock = Lock(d.u8("lock mode"))
@@ -498,6 +526,13 @@ func DecodeRequest(payload []byte, r *Request) error {
 		}
 	default:
 		return &Error{Code: CodeBadRequest, Msg: "unknown op"}
+	}
+	// A statement body is self-delimiting; bytes after it are the begin
+	// trailer. A trailer cut short fails in begin, one with bytes to spare
+	// fails in done.
+	if r.Op.statement() && d.err == nil && d.off < len(d.b) {
+		r.Begin = true
+		d.begin(r)
 	}
 	return d.done()
 }

@@ -34,6 +34,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		{Op: OpDelete, Table: "t", Pred: storage.Eq{Col: "id", Val: int64(2)}},
 		{Op: OpKV, Cmd: KVSetNXPX, Key: "k", SVal: "v", TTL: time.Second},
 		{Op: OpKV, Cmd: KVWatch, Keys: []string{"a", "b"}},
+		// Statements opening their own transaction (begin trailer).
+		{Op: OpSelect, Table: "t", Pred: storage.All{}, Begin: true, Iso: 2},
+		{Op: OpInsert, Table: "t", Cols: []string{"a"}, Vals: []storage.Value{int64(1)}, Begin: true, OCC: true},
+		{Op: OpUpdate, Table: "t", Pred: storage.All{}, Cols: []string{"n"}, Vals: []storage.Value{storage.Inc(1)},
+			Begin: true, ReadOnly: true, MinLSN: 1 << 40},
+		{Op: OpDelete, Table: "t", Pred: storage.Eq{Col: "id", Val: int64(2)}, Begin: true, Iso: 1, MinLSN: 3},
 	}
 	for _, s := range seeds {
 		b, err := AppendRequest(nil, s)
@@ -44,6 +50,9 @@ func FuzzDecodeRequest(f *testing.F) {
 	}
 	// Adversarial shapes: truncations, bomb counts, deep nesting.
 	f.Add([]byte{})
+	// A begin trailer cut inside its MinLSN, and one with a byte to spare.
+	f.Add([]byte{frameRequest, byte(OpDelete), 0x01, 't', predAll, 0x01, beginHasMinLSN, 0, 0, 0})
+	f.Add([]byte{frameRequest, byte(OpSelect), 0x00, 0x01, 't', predAll, 0x01, 0x00, 0x00})
 	f.Add([]byte{frameRequest, byte(OpSelect), 0x01, 0x01, 'x', predAnd, 0xff, 0xff, 0x03})
 	f.Add([]byte{frameRequest, byte(OpInsert), 0x01, 't', 0xfe, 0xff, 0xff, 0xff, 0x0f})
 	deep := []byte{frameRequest, byte(OpDelete), 0x01, 't'}

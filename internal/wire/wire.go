@@ -11,7 +11,10 @@
 //
 // Framing: every message is a 4-byte big-endian length followed by that many
 // payload bytes; the first payload byte is the message type. Frames are
-// capped at MaxFrame to bound server-side memory per connection.
+// capped at MaxFrame to bound server-side memory per connection. A frame is
+// built in one buffer (StartFrame reserves the prefix) and crosses the socket
+// in one Write; the receiving end reads through one bufio.Reader per
+// connection, so a frame costs one syscall each way.
 //
 // Allocation contract: encoding a request or response into a reused buffer
 // performs zero heap allocations once the buffer has warmed to its working
@@ -317,29 +320,61 @@ func IsRetryable(err error) bool {
 
 // ---- framing ----
 
-// WriteFrame writes one length-prefixed frame. payload must include the
-// message-type byte.
-func WriteFrame(w io.Writer, payload []byte) error {
-	if len(payload) > MaxFrame {
+// frameHeaderLen is the size of the length prefix every frame opens with.
+const frameHeaderLen = 4
+
+// StartFrame empties b (keeping its capacity) and reserves the length
+// prefix, ready for an Append* encoder to add the payload behind it. The
+// prefix lives in the same reused buffer as the payload, so a finished frame
+// leaves in one Write with no copy and no allocation:
+//
+//	buf = wire.StartFrame(buf)
+//	buf, err = wire.AppendRequest(buf, req)
+//	err = wire.WriteFrame(conn, buf)
+func StartFrame(b []byte) []byte { return append(b[:0], 0, 0, 0, 0) }
+
+// SealFrame fills in the length prefix of a frame begun with StartFrame.
+// WriteFrame does this itself; only a frame several goroutines will send
+// (a replication batch fanned out to every follower) is sealed once by its
+// builder and then written as is.
+func SealFrame(frame []byte) error {
+	n := len(frame) - frameHeaderLen
+	if n < 0 {
+		return errors.New("wire: frame not begun with StartFrame")
+	}
+	if n > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return nil
+}
+
+// WriteFrame seals frame and sends it, prefix and payload, in a single
+// Write: one syscall and one segment on a TCP_NODELAY socket, so the peer
+// wakes once per frame.
+func WriteFrame(w io.Writer, frame []byte) error {
+	if err := SealFrame(frame); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err := w.Write(frame)
 	return err
 }
 
 // ReadFrame reads one frame into buf (grown as needed) and returns the
-// payload slice, which aliases buf and is valid until the next call.
+// payload slice, which aliases buf and is valid until the next call. Every
+// caller hands it the connection's one bufio.Reader, so the prefix and the
+// payload of a frame that arrived whole cost a single Read of the socket.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The prefix is read into buf too: a local array would escape through
+	// the io.Reader and cost an allocation per frame.
+	if cap(buf) < frameHeaderLen {
+		buf = make([]byte, frameHeaderLen)
+	}
+	hdr := buf[:frameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}

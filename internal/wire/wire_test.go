@@ -62,6 +62,97 @@ func TestRequestRoundTrip(t *testing.T) {
 	}
 }
 
+// statementRequests is one request of each statement op: the four that may
+// carry a begin trailer.
+func statementRequests() []Request {
+	return []Request{
+		{Op: OpSelect, Lock: LockForUpdate, Table: "skus", Pred: storage.Eq{Col: "id", Val: int64(7)}},
+		{Op: OpInsert, Table: "skus", Cols: []string{"name", "qty"}, Vals: []storage.Value{"widget", int64(3)}},
+		{Op: OpUpdate, Table: "skus", Pred: storage.Eq{Col: "id", Val: int64(1)},
+			Cols: []string{"qty"}, Vals: []storage.Value{storage.Inc(-1)}},
+		{Op: OpDelete, Table: "skus", Pred: storage.Range{Col: "id", Lo: int64(5), IncLo: true}},
+	}
+}
+
+// beginTrailers is the begin a statement may carry, in each encoded shape:
+// none, the two fixed bytes, and the two bytes plus MinLSN.
+func beginTrailers() []Request {
+	return []Request{
+		{},
+		{Begin: true, Iso: uint8(engine.RepeatableRead)},
+		{Begin: true, Iso: uint8(engine.Serializable), OCC: true},
+		{Begin: true, ReadOnly: true, MinLSN: 99},
+	}
+}
+
+func withBegin(stmt, begin Request) Request {
+	stmt.Begin, stmt.Iso = begin.Begin, begin.Iso
+	stmt.ReadOnly, stmt.MinLSN, stmt.OCC = begin.ReadOnly, begin.MinLSN, begin.OCC
+	return stmt
+}
+
+// TestBeginTrailerRoundTrip: every statement op round-trips with and without
+// the begin riding on it; the trailer is byte for byte what OpBegin carries,
+// appended after the statement body, so payload byte 1 is still the
+// statement's Op (metrics and the benchmark tracer bin by it).
+func TestBeginTrailerRoundTrip(t *testing.T) {
+	for _, stmt := range statementRequests() {
+		bare := mustEncodeReq(t, &stmt)
+		for _, begin := range beginTrailers() {
+			c := withBegin(stmt, begin)
+			enc := mustEncodeReq(t, &c)
+			if got := roundTripReq(t, &c); !reflect.DeepEqual(got, &c) {
+				t.Errorf("round trip %s begin=%v:\n got %+v\nwant %+v", c.Op, c.Begin, got, &c)
+			}
+			if Op(enc[1]) != stmt.Op {
+				t.Errorf("%s with begin: payload byte 1 = %d, want the statement op", stmt.Op, enc[1])
+			}
+			var trailer []byte
+			if begin.Begin {
+				begin.Op, begin.Begin = OpBegin, false
+				trailer = mustEncodeReq(t, &begin)[2:] // OpBegin's body
+			}
+			if want := append(append([]byte(nil), bare...), trailer...); !bytes.Equal(enc, want) {
+				t.Errorf("%s begin=%v: encoded %x, want statement+OpBegin body %x", stmt.Op, c.Begin, enc, want)
+			}
+		}
+	}
+}
+
+// TestBeginTrailerMalformed: a trailer cut short or with bytes to spare is a
+// typed CodeBadRequest, and only statements may carry one.
+func TestBeginTrailerMalformed(t *testing.T) {
+	for _, stmt := range statementRequests() {
+		bare := mustEncodeReq(t, &stmt)
+		c := withBegin(stmt, Request{Begin: true, Iso: 1, ReadOnly: true, MinLSN: 7})
+		full := mustEncodeReq(t, &c)
+		bad := map[string][]byte{
+			"isolation only":      full[:len(bare)+1],
+			"min lsn cut short":   full[:len(full)-1],
+			"min lsn missing":     full[:len(bare)+2],
+			"byte after trailer":  append(append([]byte(nil), full...), 0),
+			"bytes after minimal": append(append([]byte(nil), bare...), 1, 0, 0),
+		}
+		for name, b := range bad {
+			var r Request
+			err := DecodeRequest(b, &r)
+			if we, ok := AsError(err); !ok || we.Code != CodeBadRequest {
+				t.Errorf("%s, %s: err = %v, want CodeBadRequest", stmt.Op, name, err)
+			}
+		}
+	}
+	for _, op := range []Op{OpCommit, OpRollback, OpPing, OpKV} {
+		if _, err := AppendRequest(nil, &Request{Op: op, Begin: true}); err == nil {
+			t.Errorf("%s: encoder accepted a begin on a non-statement", op)
+		}
+	}
+	// Bytes after a non-statement's body are still just trailing bytes.
+	var r Request
+	if err := DecodeRequest(append(mustEncodeReq(t, &Request{Op: OpCommit}), 1, 0), &r); err == nil || r.Begin {
+		t.Errorf("COMMIT with a begin trailer: err = %v, Begin = %v", err, r.Begin)
+	}
+}
+
 func TestResponseRoundTrip(t *testing.T) {
 	cases := []Response{
 		{},
@@ -128,7 +219,7 @@ func TestErrorRoundTripsEngineSentinels(t *testing.T) {
 func TestFraming(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte{frameRequest, byte(OpPing)}
-	if err := WriteFrame(&buf, payload); err != nil {
+	if err := WriteFrame(&buf, append(StartFrame(nil), payload...)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadFrame(&buf, nil)
@@ -144,8 +235,70 @@ func TestFraming(t *testing.T) {
 	if _, err := ReadFrame(bytes.NewReader(big), nil); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: err = %v", err)
 	}
-	if err := WriteFrame(&buf, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+	if err := WriteFrame(&buf, make([]byte, frameHeaderLen+MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized write: err = %v", err)
+	}
+	// A buffer that never went through StartFrame has no prefix to fill.
+	if err := WriteFrame(&buf, payload[:2]); err == nil {
+		t.Fatal("WriteFrame accepted a frame shorter than its prefix")
+	}
+}
+
+// writeCounter counts Write calls: each is a syscall and, on a TCP_NODELAY
+// socket, a segment and a peer wake-up.
+type writeCounter struct {
+	writes int
+	bytes.Buffer
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestFrameIsOneWrite pins the single-write framing for every encoder: the
+// length prefix is reserved in the encoder's own buffer, so prefix and
+// payload leave together, and re-using the buffer allocates nothing.
+func TestFrameIsOneWrite(t *testing.T) {
+	req := &Request{
+		Op: OpSelect, Lock: LockForUpdate, Table: "lock_rows", Pred: storage.Eq{Col: "id", Val: int64(1)},
+		Begin: true, Iso: 2, MinLSN: 9,
+	}
+	resp := &Response{Cols: []string{"id"}, Rows: [][]storage.Value{{int64(1)}}}
+	repl := &ReplFrame{Kind: ReplBatch, Epoch: 1, FirstLSN: 3, LastLSN: 4, Raw: []byte("wal bytes")}
+	encoders := map[string]func(b []byte) ([]byte, error){
+		"request":  func(b []byte) ([]byte, error) { return AppendRequest(b, req) },
+		"response": func(b []byte) ([]byte, error) { return AppendResponse(b, resp) },
+		"repl":     func(b []byte) ([]byte, error) { return AppendReplFrame(b, repl) },
+	}
+	for name, enc := range encoders {
+		var w writeCounter
+		var buf []byte
+		send := func() {
+			var err error
+			if buf, err = enc(StartFrame(buf)); err != nil {
+				t.Fatal(err)
+			}
+			if err = WriteFrame(&w, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send()
+		if w.writes != 1 {
+			t.Errorf("%s: frame took %d Writes, want 1", name, w.writes)
+		}
+		want, err := enc(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadFrame(&w, nil)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s: frame read back as %x (%v), want %x", name, got, err, want)
+		}
+		w.Buffer.Grow(1 << 12) // the sink must not be what allocates
+		if allocs := testing.AllocsPerRun(100, func() { w.Reset(); send() }); allocs > 0 {
+			t.Errorf("%s: framing a warmed buffer: %v allocs/op, want 0", name, allocs)
+		}
 	}
 }
 
@@ -275,6 +428,35 @@ func TestCodecAllocBounds(t *testing.T) {
 	}); got > 8 {
 		t.Errorf("select decode: %v allocs/op, want <= 8", got)
 	}
+
+	// The begin trailer is fixed-width fields appended to the same buffer
+	// and decoded into the same struct: every statement op still encodes
+	// with zero allocations, and decodes with exactly as many as without it.
+	for _, stmt := range statementRequests() {
+		decodeAllocs := func(r *Request) float64 {
+			payload := mustEncodeReq(t, r)
+			return testing.AllocsPerRun(200, func() {
+				if err := DecodeRequest(payload, &req); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		bare := decodeAllocs(&stmt)
+		for _, begin := range beginTrailers() {
+			c := withBegin(stmt, begin)
+			if got := testing.AllocsPerRun(200, func() {
+				var err error
+				if buf, err = AppendRequest(StartFrame(buf), &c); err != nil {
+					t.Fatal(err)
+				}
+			}); got > 0 {
+				t.Errorf("%s begin=%v encode: %v allocs/op on a warmed buffer, want 0", c.Op, c.Begin, got)
+			}
+			if got := decodeAllocs(&c); got != bare {
+				t.Errorf("%s begin=%v decode: %v allocs/op, want %v (same as without the trailer)", c.Op, c.Begin, got, bare)
+			}
+		}
+	}
 }
 
 // BenchmarkRoundTrip measures one request+response encode/decode cycle — the
@@ -282,7 +464,8 @@ func TestCodecAllocBounds(t *testing.T) {
 func BenchmarkRoundTrip(b *testing.B) {
 	req := &Request{
 		Op: OpSelect, Lock: LockForUpdate, Table: "lock_rows",
-		Pred: storage.Eq{Col: "id", Val: int64(1)},
+		Pred:  storage.Eq{Col: "id", Val: int64(1)},
+		Begin: true, Iso: uint8(engine.RepeatableRead),
 	}
 	resp := &Response{Cols: []string{"id"}, Rows: [][]storage.Value{{int64(1)}}}
 	var reqBuf, respBuf []byte
@@ -291,17 +474,18 @@ func BenchmarkRoundTrip(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		// Encode as the connections do: behind the reserved length prefix.
 		var err error
-		if reqBuf, err = AppendRequest(reqBuf[:0], req); err != nil {
+		if reqBuf, err = AppendRequest(StartFrame(reqBuf), req); err != nil {
 			b.Fatal(err)
 		}
-		if err = DecodeRequest(reqBuf, &dr); err != nil {
+		if err = DecodeRequest(reqBuf[frameHeaderLen:], &dr); err != nil {
 			b.Fatal(err)
 		}
-		if respBuf, err = AppendResponse(respBuf[:0], resp); err != nil {
+		if respBuf, err = AppendResponse(StartFrame(respBuf), resp); err != nil {
 			b.Fatal(err)
 		}
-		if err = DecodeResponse(respBuf, &dp); err != nil {
+		if err = DecodeResponse(respBuf[frameHeaderLen:], &dp); err != nil {
 			b.Fatal(err)
 		}
 	}
