@@ -120,7 +120,7 @@ func BenchmarkFigure3Granularity(b *testing.B) {
 					wg.Wait()
 					b.StopTimer()
 					b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
-					st := w.Engine().Stats().Snapshot()
+					st := w.Engine().Stats()
 					b.ReportMetric(float64(st.Deadlocks), "deadlocks")
 					b.ReportMetric(float64(st.SerializationErr), "serialization-failures")
 				})

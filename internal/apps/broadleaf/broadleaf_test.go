@@ -143,7 +143,7 @@ func TestCheckoutDBTSeesDeadlocks(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		deadlocks := a.Eng.Stats().Deadlocks.Load()
+		deadlocks := a.Eng.Stats().Deadlocks
 		if mode == DBT && deadlocks == 0 {
 			t.Error("DBT checkout under contention saw no deadlocks; the RMW story is broken")
 		}

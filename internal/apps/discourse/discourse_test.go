@@ -110,7 +110,7 @@ func TestCBCPairCommutes(t *testing.T) {
 	if maxPost != 21 || answer != posts[0] {
 		t.Fatalf("max_post=%d answer=%d", maxPost, answer)
 	}
-	if got := a.Eng.Stats().SerializationErr.Load(); got != 0 {
+	if got := a.Eng.Stats().SerializationErr; got != 0 {
 		t.Fatalf("AHT CBC pair hit %d serialization failures", got)
 	}
 }
@@ -147,7 +147,7 @@ func TestCBCDBTConflictsOnRow(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := a.Eng.Stats().SerializationErr.Load(); got == 0 {
+	if got := a.Eng.Stats().SerializationErr; got == 0 {
 		t.Fatal("DBT CBC pair saw no serialization failures; the false-conflict story is broken")
 	}
 }

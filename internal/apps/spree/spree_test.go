@@ -206,7 +206,7 @@ func TestAddPaymentFalseConflicts(t *testing.T) {
 			}(o)
 		}
 		wg.Wait()
-		serr := a.Eng.Stats().SerializationErr.Load()
+		serr := a.Eng.Stats().SerializationErr
 		if mode == DBT && serr == 0 {
 			t.Error("DBT add-payment on adjacent orders saw no serialization failures; the PBC story is broken")
 		}

@@ -29,6 +29,11 @@ import (
 // ErrClosed reports use of a closed client.
 var ErrClosed = errors.New("client: closed")
 
+// healthCheckAfter is the idle age beyond which a pooled connection is
+// pinged before reuse instead of trusted blindly. Dead connections are
+// re-dialed transparently.
+const healthCheckAfter = 15 * time.Second
+
 // Config tunes the client. The zero value (plus Addr) is usable.
 type Config struct {
 	// Addr is the server address, e.g. "127.0.0.1:7070".
@@ -40,10 +45,6 @@ type Config struct {
 	DialTimeout time.Duration
 	// RequestTimeout bounds one request/response round trip (default 10s).
 	RequestTimeout time.Duration
-	// HealthCheckAfter is the idle age beyond which a pooled connection is
-	// pinged before reuse instead of trusted blindly (default 15s). Dead
-	// connections are re-dialed transparently.
-	HealthCheckAfter time.Duration
 	// MaxRetries bounds RunTxn attempts on retryable codes (default 5).
 	MaxRetries int
 	// BackoffBase scales the jittered exponential backoff between retries
@@ -73,9 +74,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.RequestTimeout <= 0 {
 		out.RequestTimeout = 10 * time.Second
-	}
-	if out.HealthCheckAfter <= 0 {
-		out.HealthCheckAfter = 15 * time.Second
 	}
 	if out.MaxRetries <= 0 {
 		out.MaxRetries = 5
@@ -213,7 +211,7 @@ func (c *Client) get() (*conn, error) {
 	for {
 		select {
 		case cn := <-c.pool:
-			if time.Since(cn.lastUsed) < c.cfg.HealthCheckAfter {
+			if time.Since(cn.lastUsed) < healthCheckAfter {
 				return cn, nil
 			}
 			// Stale: probe before trusting. A dead server answers the ping

@@ -113,11 +113,6 @@ type Config struct {
 	// GroupCommit coalesces concurrent commits into WAL batches that share
 	// one fsync (see internal/wal). Recovery semantics are unchanged.
 	GroupCommit bool
-	// GroupCommitMaxBatch bounds records per WAL batch (0 = wal default).
-	GroupCommitMaxBatch int
-	// GroupCommitMaxWait is the batch leader's gathering window (0 = flush
-	// immediately; batching then comes from fsync backpressure alone).
-	GroupCommitMaxWait time.Duration
 	// LockShards partitions the lock manager's lock tables (0 = lockmgr
 	// default; 1 = the old single-mutex behaviour).
 	LockShards int
@@ -131,16 +126,9 @@ type Config struct {
 	// *disk.Store for a real on-disk log. Nil keeps the simulated device
 	// (in-memory durable image, WALFsync-priced syncs).
 	WALDevice wal.Device
-	// SSIPageSize groups index keys into pages for Serializable predicate
-	// read tracking under the Postgres dialect. Real SSI tracks SIREAD
-	// locks at page granularity, which manufactures false conflicts
-	// between adjacent keys; 0 means 8 keys per page.
-	SSIPageSize int64
 }
 
-func (c Config) ssiPageSize() int64 {
-	if c.SSIPageSize > 0 {
-		return c.SSIPageSize
-	}
-	return 8
-}
+// ssiPageSize groups index keys into pages for Serializable predicate read
+// tracking under the Postgres dialect. Real SSI tracks SIREAD locks at page
+// granularity, which manufactures false conflicts between adjacent keys.
+const ssiPageSize int64 = 8

@@ -77,7 +77,6 @@ type Engine struct {
 	// WAL, which holds only the records past the checkpoint.
 	ckptPrefix []byte
 
-	stats    Stats
 	tracer   atomic.Pointer[Tracer]
 	eventSeq atomic.Uint64
 	metrics  atomic.Pointer[engineMetrics]
@@ -85,7 +84,7 @@ type Engine struct {
 
 // New creates an engine.
 func New(cfg Config) *Engine {
-	return &Engine{
+	e := &Engine{
 		cfg:    cfg,
 		tables: make(map[string]*table),
 		occLog: bocc.NewLog(0),
@@ -96,12 +95,12 @@ func New(cfg Config) *Engine {
 		log: wal.NewWithOptions(wal.Options{
 			Latency:     cfg.WALFsync,
 			GroupCommit: cfg.GroupCommit,
-			MaxBatch:    cfg.GroupCommitMaxBatch,
-			MaxWait:     cfg.GroupCommitMaxWait,
 			Crash:       cfg.Crash,
 			Device:      cfg.WALDevice,
 		}),
 	}
+	e.metrics.Store(newEngineMetrics(nil))
+	return e
 }
 
 // WAL exposes the engine's write-ahead log (diagnostics, tests, and the
@@ -110,9 +109,6 @@ func (e *Engine) WAL() *wal.Log { return e.log }
 
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
-
-// Stats exposes the engine's counters.
-func (e *Engine) Stats() *Stats { return &e.stats }
 
 // SetTracer installs (or clears, with nil) the event tracer.
 func (e *Engine) SetTracer(t Tracer) {
@@ -203,10 +199,7 @@ func (e *Engine) BeginMode(mode Mode, iso Isolation) *Txn {
 	if mode == ModeOCC {
 		t.occ = &occState{}
 	}
-	e.stats.Begins.Add(1)
-	if m := e.obsM(); m != nil {
-		m.begins.Inc()
-	}
+	e.count(cBegins)
 	e.emit(t, EvBegin, "", 0, nil)
 	return t
 }
@@ -389,14 +382,13 @@ type pageKey struct {
 // pageOf buckets a key value into a page. Integer keys cluster by value —
 // adjacent IDs share pages, which is exactly the false-sharing behaviour
 // §3.3.2 exploits; other types hash.
-func (e *Engine) pageOf(v storage.Value) int64 {
-	size := e.cfg.ssiPageSize()
+func pageOf(v storage.Value) int64 {
 	switch x := v.(type) {
 	case int64:
 		if x < 0 {
-			return (x - size + 1) / size
+			return (x - ssiPageSize + 1) / ssiPageSize
 		}
-		return x / size
+		return x / ssiPageSize
 	case string:
 		var h int64
 		for i := 0; i < len(x); i++ {
@@ -409,7 +401,7 @@ func (e *Engine) pageOf(v storage.Value) int64 {
 		}
 		return 0
 	case float64:
-		return int64(x) / size
+		return int64(x) / ssiPageSize
 	default:
 		return 0
 	}
@@ -423,7 +415,7 @@ const maxRecentFootprints = 2048
 
 // noteCommitFootprint records a committed transaction's write pages for
 // later SSI checks. Caller holds e.mu.
-func (e *Engine) noteCommitFootprint(f commitFootprint, _ uint64) {
+func (e *Engine) noteCommitFootprint(f commitFootprint) {
 	if len(f.writePages) == 0 {
 		return
 	}

@@ -321,7 +321,7 @@ func TestMySQLSerializableRMWDeadlock(t *testing.T) {
 	if err := t1.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Stats().Deadlocks.Load() == 0 {
+	if e.Stats().Deadlocks == 0 {
 		t.Fatal("deadlock counter not bumped")
 	}
 }
@@ -352,7 +352,7 @@ func TestPostgresFirstCommitterWins(t *testing.T) {
 	if !errors.Is(err, ErrSerialization) {
 		t.Fatalf("second writer = %v, want ErrSerialization", err)
 	}
-	if e.Stats().SerializationErr.Load() == 0 {
+	if e.Stats().SerializationErr == 0 {
 		t.Fatal("serialization counter not bumped")
 	}
 }
@@ -987,11 +987,11 @@ func TestTracerEvents(t *testing.T) {
 
 func TestStatsCounters(t *testing.T) {
 	e := newTestEngine(t, MySQL)
-	before := e.Stats().Snapshot()
+	before := e.Stats()
 	mustInsert(t, e, "skus", map[string]storage.Value{"product_id": int64(1), "quantity": int64(1)})
 	tx := e.Begin(IsolationDefault)
 	_ = tx.Rollback()
-	diff := e.Stats().Snapshot().Sub(before)
+	diff := e.Stats().Sub(before)
 	if diff.Begins != 2 || diff.Commits != 1 || diff.Rollbacks != 1 {
 		t.Fatalf("stats diff = %+v", diff)
 	}

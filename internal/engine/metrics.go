@@ -6,48 +6,74 @@ import (
 	"adhoctx/internal/obs"
 )
 
-// engineMetrics is the engine's resolved instrument set. Handles are
-// resolved once at wiring time; statement hot paths pay one atomic pointer
-// load when observability is disabled.
-type engineMetrics struct {
-	begins           *obs.Counter
-	commits          *obs.Counter
-	rollbacks        *obs.Counter
-	deadlocks        *obs.Counter
-	serializationErr *obs.Counter
-	lockTimeouts     *obs.Counter
-	statements       *obs.Counter
-	// walFsyncs counts durable commits (WAL appends). The device-level
+// counterID names one engine event counter.
+type counterID int
+
+const (
+	cBegins counterID = iota
+	cCommits
+	cRollbacks
+	cDeadlocks
+	cSerializationErr
+	cLockTimeouts
+	cStatements
+	// cWALFsyncs counts durable commits (WAL appends). The device-level
 	// flush count lives on the WAL itself (wal_fsyncs_total), which under
 	// group commit is smaller — the batching win, made observable.
-	walFsyncs    *obs.Counter
-	retries      *obs.Counter
-	retryBackoff *obs.Counter // nanoseconds; exposed as seconds
-	occCommits   *obs.Counter
-	occConflicts *obs.Counter
+	cWALFsyncs
+	cRetries
+	cRetryBackoff // nanoseconds; exposed as seconds
+	cOCCCommits
+	cOCCConflicts
+	numCounters
+)
 
+// counterNames are the registry series the counters appear under.
+var counterNames = [numCounters]string{
+	cBegins:           "engine_begins_total",
+	cCommits:          "engine_commits_total",
+	cRollbacks:        "engine_rollbacks_total",
+	cDeadlocks:        "engine_deadlocks_total",
+	cSerializationErr: "engine_serialization_failures_total",
+	cLockTimeouts:     "engine_lock_timeouts_total",
+	cStatements:       "engine_statements_total",
+	cWALFsyncs:        "engine_wal_fsyncs_total",
+	cRetries:          "engine_txn_retries_total",
+	cRetryBackoff:     "engine_retry_backoff_seconds_total",
+	cOCCCommits:       "engine_occ_commits_total",
+	cOCCConflicts:     "engine_occ_conflicts_total",
+}
+
+// engineMetrics is the engine's instrument set. Each event has exactly one
+// counter, bumped at one place and read by both Engine.Stats and the
+// registry. The counters exist from New — private to the engine until WireObs
+// hands it a registry's — while the histograms stay nil, and time.Now
+// unpaid, until then.
+type engineMetrics struct {
+	c             [numCounters]*obs.Counter
 	stmtSeconds   *obs.Histogram
 	commitSeconds *obs.Histogram
 }
 
+// newEngineMetrics resolves the instruments from reg; a nil reg yields
+// private counters and no histograms.
 func newEngineMetrics(reg *obs.Registry) *engineMetrics {
-	return &engineMetrics{
-		begins:           reg.Counter("engine_begins_total"),
-		commits:          reg.Counter("engine_commits_total"),
-		rollbacks:        reg.Counter("engine_rollbacks_total"),
-		deadlocks:        reg.Counter("engine_deadlocks_total"),
-		serializationErr: reg.Counter("engine_serialization_failures_total"),
-		lockTimeouts:     reg.Counter("engine_lock_timeouts_total"),
-		statements:       reg.Counter("engine_statements_total"),
-		walFsyncs:        reg.Counter("engine_wal_fsyncs_total"),
-		retries:          reg.Counter("engine_txn_retries_total"),
-		retryBackoff:     reg.Counter("engine_retry_backoff_seconds_total"),
-		occCommits:       reg.Counter("engine_occ_commits_total"),
-		occConflicts:     reg.Counter("engine_occ_conflicts_total"),
-		stmtSeconds:      reg.Histogram("engine_statement_seconds"),
-		commitSeconds:    reg.Histogram("engine_commit_seconds"),
+	m := &engineMetrics{
+		stmtSeconds:   reg.Histogram("engine_statement_seconds"),
+		commitSeconds: reg.Histogram("engine_commit_seconds"),
 	}
+	for i, name := range counterNames {
+		if reg == nil {
+			m.c[i] = new(obs.Counter)
+		} else {
+			m.c[i] = reg.Counter(name)
+		}
+	}
+	return m
 }
+
+// count bumps one event counter.
+func (e *Engine) count(c counterID) { e.metrics.Load().c[c].Inc() }
 
 // obsTracer adapts the registry's span tracker to the Tracer interface,
 // chaining to any previously installed tracer so WireObs composes with
@@ -73,15 +99,26 @@ func (o *obsTracer) Trace(ev Event) {
 	}
 }
 
-// WireObs attaches the engine (and its lock manager) to reg: counters
-// mirror Stats, statement and commit latencies feed histograms, and a
-// span-tracking tracer is chained in front of any tracer already installed.
-// A nil registry is a no-op, so callers can wire unconditionally.
+// WireObs attaches the engine (and its lock manager and WAL) to reg: the
+// event counters move onto the registry's series, carrying what they have
+// counted so far, so Stats stays monotone and the series start from the
+// engine's whole life; statement and commit latencies start feeding
+// histograms; and a span-tracking tracer is chained in front of any tracer
+// already installed. Engines wired to one registry share its series, and
+// their Stats read the shared totals. Wire before starting load: an event
+// counted while the counters are being moved can land on the retired one. A
+// nil registry is a no-op, so callers can wire unconditionally.
 func (e *Engine) WireObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	e.metrics.Store(newEngineMetrics(reg))
+	old, m := e.metrics.Load(), newEngineMetrics(reg)
+	e.metrics.Store(m)
+	for i, c := range m.c {
+		if c != old.c[i] {
+			c.Add(old.c[i].Value())
+		}
+	}
 	e.lm.WireObs(reg)
 	e.log.WireObs(reg)
 	var next Tracer
@@ -91,14 +128,10 @@ func (e *Engine) WireObs(reg *obs.Registry) {
 	e.SetTracer(&obsTracer{spans: reg.Spans(), next: next})
 }
 
-// obsM returns the wired metrics, or nil when observability is off. The
-// single atomic load here is the entire disabled-path cost.
-func (e *Engine) obsM() *engineMetrics { return e.metrics.Load() }
-
-// obsNow returns a statement start time, or the zero time when metrics are
-// disabled so the matching obsStmtDone is free.
+// obsNow returns a statement start time, or the zero time while no histogram
+// is wired so the matching obsStmtDone is free.
 func (e *Engine) obsNow() time.Time {
-	if e.metrics.Load() == nil {
+	if e.metrics.Load().stmtSeconds == nil {
 		return time.Time{}
 	}
 	return time.Now()
@@ -106,10 +139,7 @@ func (e *Engine) obsNow() time.Time {
 
 // obsStmtDone records one statement latency sample started at obsNow.
 func (e *Engine) obsStmtDone(start time.Time) {
-	if start.IsZero() {
-		return
-	}
-	if m := e.metrics.Load(); m != nil {
-		m.stmtSeconds.Since(start)
+	if !start.IsZero() {
+		e.metrics.Load().stmtSeconds.Since(start)
 	}
 }

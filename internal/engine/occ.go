@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"strconv"
 	"time"
@@ -10,9 +9,7 @@ import (
 	"adhoctx/internal/mvcc"
 	"adhoctx/internal/occkit/bocc"
 	"adhoctx/internal/sched"
-	"adhoctx/internal/sim"
 	"adhoctx/internal/storage"
-	"adhoctx/internal/wal"
 )
 
 // Engine-internal crash points on the OCC commit path (armed via
@@ -26,29 +23,23 @@ const (
 )
 
 // occState is a ModeOCC transaction's private state: the read set that
-// commit-time backward validation checks, and the local write buffer that
-// replaces the 2PL undo log. Nothing here touches shared structures until
+// commit-time backward validation checks, and the local write buffer whose
+// contents commit installs. Nothing here touches shared structures until
 // commit.
 type occState struct {
 	reads bocc.ReadSet
-	buf   map[rowKey]*occWrite
-	order []rowKey // deterministic apply order (first-buffer order)
+	buf   map[rowKey]storage.Row // buffered row images; nil is a tombstone
+	order []rowKey               // deterministic apply order (first-buffer order)
 }
 
-// occWrite is one buffered row image: the new row, or a tombstone.
-type occWrite struct {
-	row     storage.Row
-	deleted bool
-}
-
-func (s *occState) put(k rowKey, w *occWrite) {
+func (s *occState) put(k rowKey, row storage.Row) {
 	if s.buf == nil {
-		s.buf = make(map[rowKey]*occWrite)
+		s.buf = make(map[rowKey]storage.Row)
 	}
 	if _, ok := s.buf[k]; !ok {
 		s.order = append(s.order, k)
 	}
-	s.buf[k] = w
+	s.buf[k] = row
 }
 
 // occTrackPred records the predicate-level read: a primary-key point read
@@ -68,11 +59,8 @@ func (t *Txn) occTrackPred(tableName string, pred storage.Pred) {
 // write, else the snapshot-visible version. Caller holds e.mu (shared
 // suffices).
 func (t *Txn) occVisible(tb *table, pk int64, snap mvcc.Snapshot) storage.Row {
-	if w, ok := t.occ.buf[rowKey{tb.schema.Table, pk}]; ok {
-		if w.deleted {
-			return nil
-		}
-		return w.row
+	if row, ok := t.occ.buf[rowKey{tb.schema.Table, pk}]; ok {
+		return row
 	}
 	if ch, ok := tb.rows[pk]; ok {
 		return ch.Visible(snap)
@@ -143,15 +131,9 @@ func (t *Txn) occWriteRows(tableName string, pred storage.Pred, set map[string]s
 	e := t.e
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	tb, err := e.table(tableName)
+	tb, err := e.writeTable(tableName, set)
 	if err != nil {
 		return 0, err
-	}
-	schema := tb.schema
-	for col := range set {
-		if !schema.HasColumn(col) {
-			return 0, fmt.Errorf("engine: table %q has no column %q", tableName, col)
-		}
 	}
 	pks, _ := t.candidates(tb, pred)
 	pks = t.occCandidates(tb, pks)
@@ -160,114 +142,63 @@ func (t *Txn) occWriteRows(tableName string, pred storage.Pred, set map[string]s
 	for _, pk := range pks {
 		cur := t.occVisible(tb, pk, snap)
 		t.occ.reads.AddRow(tableName, pk)
-		if cur == nil || !pred.Match(schema, cur) {
+		if cur == nil || !pred.Match(tb.schema, cur) {
 			continue
 		}
-		if del {
-			t.occ.put(rowKey{tableName, pk}, &occWrite{deleted: true})
-			e.emit(t, EvDelete, tableName, pk, nil)
-			changed++
-			continue
-		}
-		newRow := cur.Clone()
-		for col, v := range set {
-			if d, isDelta := v.(storage.Delta); isDelta {
-				curV, isInt := newRow.Get(schema, col).(int64)
-				if !isInt {
-					return changed, fmt.Errorf("engine: delta update on non-integer column %s.%s", tableName, col)
-				}
-				newRow.Set(schema, col, curV+d.N)
-				continue
-			}
-			newRow.Set(schema, col, v)
-		}
-		if err := schema.CheckRow(newRow); err != nil {
+		row, err := rowAfter(tb.schema, cur, set, del)
+		if err != nil {
 			return changed, err
 		}
-		t.occ.put(rowKey{tableName, pk}, &occWrite{row: newRow})
-		e.emit(t, EvWrite, tableName, pk, colsOf(set))
+		t.occ.put(rowKey{tableName, pk}, row)
+		e.emitWrite(t, tableName, pk, set, del)
 		changed++
 	}
 	return changed, nil
 }
 
 // occInsert buffers an insert. Primary keys are reserved under the
-// exclusive latch (permanently — an aborted optimistic insert leaves an
-// auto-increment gap, as real engines do), and the key's absence joins the
-// read set so a concurrent committed insert of the same key fails
-// validation.
+// exclusive latch (see newRow), and the key's absence joins the read set so
+// a concurrent committed insert of the same key fails validation.
 func (t *Txn) occInsert(tableName string, vals map[string]storage.Value) (int64, error) {
 	snap := t.snapshot()
 	e := t.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	tb, err := e.table(tableName)
+	tb, err := e.writeTable(tableName, vals)
 	if err != nil {
 		return 0, err
 	}
-	schema := tb.schema
-	for col := range vals {
-		if !schema.HasColumn(col) {
-			return 0, fmt.Errorf("engine: table %q has no column %q", tableName, col)
-		}
-	}
-	var pk int64
-	if v, given := vals[storage.PKColumn]; given {
-		p, isInt := v.(int64)
-		if !isInt {
-			return 0, fmt.Errorf("engine: explicit id must be int64, got %T", v)
-		}
-		if t.occVisible(tb, p, snap) != nil {
-			return 0, fmt.Errorf("%w: %s id=%d", ErrDuplicateKey, tableName, p)
-		}
-		if ch, exists := tb.rows[p]; exists {
-			if lc := ch.LatestCommitted(); lc != nil && !lc.Deleted {
-				return 0, fmt.Errorf("%w: %s id=%d", ErrDuplicateKey, tableName, p)
-			}
-		}
-		pk = p
-		if pk > tb.autoInc {
-			tb.autoInc = pk
-		}
-	} else {
-		tb.autoInc++
-		pk = tb.autoInc
-	}
-	t.occ.reads.AddRow(tableName, pk)
-
-	row := make(storage.Row, len(schema.Columns))
-	row[0] = pk
-	for i := 1; i < len(schema.Columns); i++ {
-		if v, ok := vals[schema.Columns[i].Name]; ok {
-			row[i] = v
-		}
-	}
-	if err := schema.CheckRow(row); err != nil {
+	row, err := newRow(tb, vals, func(pk int64) bool {
+		_, cur := t.currentRow(tb, pk)
+		return cur != nil || t.occVisible(tb, pk, snap) != nil
+	})
+	if err != nil {
 		return 0, err
 	}
-	t.occ.put(rowKey{tableName, pk}, &occWrite{row: row})
+	pk := row[0].(int64)
+	t.occ.reads.AddRow(tableName, pk)
+	t.occ.put(rowKey{tableName, pk}, row)
 	e.emit(t, EvInsert, tableName, pk, colsOf(vals))
 	return pk, nil
 }
 
 // occAbortConflict finishes a transaction that failed commit validation.
-func (t *Txn) occAbortConflict(witness bocc.RowID) {
-	e := t.e
-	e.stats.OCCConflicts.Add(1)
-	if m := e.obsM(); m != nil {
-		m.occConflicts.Inc()
-	}
+// The caller must not hold e.mu.
+func (t *Txn) occAbortConflict(witness bocc.RowID) error {
+	t.e.count(cOCCConflicts)
 	if sched.Enabled() {
 		sched.Annotate("occ-conflict txn=" + strconv.FormatUint(t.id, 10) +
 			" row=" + witness.Table + "/" + strconv.FormatInt(witness.PK, 10))
 	}
 	t.rollbackState()
+	return ErrOCCConflict
 }
 
-// occCommit validates and applies a ModeOCC transaction: backward
+// occCommit is the optimistic prelude to the shared commit tail: backward
 // validation of the read set against every write-set committed after the
-// snapshot (first-committer-wins), then atomic apply of the buffered writes
-// under the exclusive store latch, then the WAL append. Caller (Commit) has
+// snapshot (first-committer-wins), a non-blocking probe of each written
+// row's lock, then install of the buffered writes — all under one hold of
+// the exclusive store latch, which commitApply finishes. Caller (Commit) has
 // already passed the engine/commit schedule point and the done/crashed
 // checks.
 func (t *Txn) occCommit(commitStart time.Time) error {
@@ -276,19 +207,9 @@ func (t *Txn) occCommit(commitStart time.Time) error {
 	if len(s.order) == 0 {
 		// Read-only: a begin-timestamp snapshot is a consistent cut, so
 		// the transaction serializes at its snapshot point with nothing
-		// to validate and nothing to log.
-		t.done = true
+		// to validate, nothing to apply and nothing to log.
 		e.lm.ReleaseAll(t.owner)
-		e.stats.Commits.Add(1)
-		e.stats.OCCCommits.Add(1)
-		if m := e.obsM(); m != nil {
-			m.commits.Inc()
-			m.occCommits.Inc()
-			if !commitStart.IsZero() {
-				m.commitSeconds.Since(commitStart)
-			}
-		}
-		e.emit(t, EvCommit, "", 0, nil)
+		t.commitDone(commitStart)
 		return nil
 	}
 
@@ -307,8 +228,7 @@ func (t *Txn) occCommit(commitStart time.Time) error {
 	}
 	if w, conflict := e.occLog.Conflicts(&s.reads, t.startCSN); conflict {
 		e.mu.Unlock()
-		t.occAbortConflict(w)
-		return ErrOCCConflict
+		return t.occAbortConflict(w)
 	}
 	// Backward validation covers committed transactions; in-flight
 	// pessimistic writers hold row locks instead. Probe each write row's
@@ -320,97 +240,27 @@ func (t *Txn) occCommit(commitStart time.Time) error {
 		if !e.lm.TryAcquireLatched(t.owner, k, lockmgr.Exclusive) {
 			e.mu.Unlock()
 			e.lm.ReleaseAll(t.owner)
-			t.occAbortConflict(bocc.RowID{Table: k.table, PK: k.pk})
-			return ErrOCCConflict
+			return t.occAbortConflict(bocc.RowID{Table: k.table, PK: k.pk})
 		}
 	}
-
-	e.csn++
-	csn := e.csn
-	ws := bocc.WriteSet{CSN: csn, Rows: make([]bocc.RowID, 0, len(s.order))}
 	for _, k := range s.order {
-		w := s.buf[k]
-		tb := e.tables[k.table]
-		ch := tb.rows[k.pk]
-		var oldRow storage.Row
-		if ch != nil {
-			if lc := ch.LatestCommitted(); lc != nil && !lc.Deleted {
-				oldRow = lc.Row
-			}
+		tb, row := e.tables[k.table], s.buf[k]
+		_, old := t.currentRow(tb, k.pk) // the latest committed image: the probe lock is held
+		if row == nil && old == nil {
+			continue // insert-then-delete, or row gone: nothing to write
 		}
-		if w.deleted {
-			if oldRow == nil {
-				continue // insert-then-delete, or row gone: nothing to undo
-			}
-			ch.Prepend(nil, true, t.id)
-			ch.Commit(t.id, csn)
-			e.dropIndexEntries(tb, oldRow, k.pk)
-			t.writes = append(t.writes, wal.Op{Kind: wal.OpDelete, Table: k.table, PK: k.pk})
-			t.trackRowWrite(tb, k.pk, oldRow, nil)
-			ws.Rows = append(ws.Rows, bocc.RowID{Table: k.table, PK: k.pk})
-			continue
-		}
-		if ch == nil {
-			ch = &mvcc.Chain{}
-			tb.rows[k.pk] = ch
-		}
-		ch.Prepend(w.row.Clone(), false, t.id)
-		ch.Commit(t.id, csn)
-		if oldRow == nil {
-			e.addIndexEntries(tb, w.row, k.pk)
-			if k.pk > tb.autoInc {
-				tb.autoInc = k.pk
-			}
-			t.writes = append(t.writes, wal.Op{Kind: wal.OpInsert, Table: k.table, PK: k.pk, Row: w.row.Clone()})
-		} else {
-			for col, ix := range tb.indexes {
-				oldV, newV := oldRow.Get(tb.schema, col), w.row.Get(tb.schema, col)
-				if !storage.Equal(oldV, newV) {
-					ix.Add(newV, k.pk)
-				}
-			}
-			t.writes = append(t.writes, wal.Op{Kind: wal.OpUpdate, Table: k.table, PK: k.pk, Row: w.row.Clone()})
-		}
-		t.trackRowWrite(tb, k.pk, oldRow, w.row)
-		ws.Rows = append(ws.Rows, bocc.RowID{Table: k.table, PK: k.pk})
+		t.install(tb, k.pk, old, row)
 	}
-	e.occLog.Note(ws)
-	// Postgres Serializable 2PL readers validate via commit footprints;
-	// OCC commits must appear there too or mixed-mode SSI misses rw
-	// conflicts.
-	if e.cfg.Dialect == Postgres && len(t.writePages) > 0 {
-		e.noteCommitFootprint(commitFootprint{csn: csn, txnID: t.id, writePages: t.writePages}, 0)
-	}
+	t.commitApply()
 	e.mu.Unlock()
+	// The probe locks go before the append, not after it as 2PL's row locks
+	// do: held across the fsync, they would turn every concurrent commit to
+	// the same hot row into a spurious conflict.
 	e.lm.ReleaseAll(t.owner)
 
 	sched.Point("engine/occ/commit")
 	e.cfg.Crash.Check(CrashPointOCCCommit)
-	if len(t.writes) > 0 {
-		lsn, err := e.log.Append(t.id, t.writes)
-		if err != nil {
-			if ce, ok := err.(*sim.CrashError); ok {
-				// Same contract as the 2PL commit path: the process died
-				// before acknowledging; recovery rebuilds from the WAL.
-				panic(ce)
-			}
-			panic(fmt.Sprintf("engine: WAL append failed: %v", err))
-		}
-		t.commitLSN = lsn
-		if m := e.obsM(); m != nil {
-			m.walFsyncs.Inc()
-		}
-	}
-	t.done = true
-	e.stats.Commits.Add(1)
-	e.stats.OCCCommits.Add(1)
-	if m := e.obsM(); m != nil {
-		m.commits.Inc()
-		m.occCommits.Inc()
-		if !commitStart.IsZero() {
-			m.commitSeconds.Since(commitStart)
-		}
-	}
-	e.emit(t, EvCommit, "", 0, nil)
+	t.commitAppend()
+	t.commitDone(commitStart)
 	return nil
 }

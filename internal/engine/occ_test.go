@@ -90,7 +90,7 @@ func TestOCCBasicLifecycle(t *testing.T) {
 	if got := occBal(t, e, pk); got != 15 {
 		t.Fatalf("bal = %d, want 15", got)
 	}
-	if e.Stats().OCCCommits.Load() < 1 {
+	if e.Stats().OCCCommits < 1 {
 		t.Fatal("OCCCommits not counted")
 	}
 
@@ -150,8 +150,8 @@ func TestOCCFirstCommitterWins(t *testing.T) {
 	if !t2.Done() {
 		t.Fatal("conflicted txn not rolled back")
 	}
-	if e.Stats().OCCConflicts.Load() != 1 {
-		t.Fatalf("OCCConflicts = %d", e.Stats().OCCConflicts.Load())
+	if e.Stats().OCCConflicts != 1 {
+		t.Fatalf("OCCConflicts = %d", e.Stats().OCCConflicts)
 	}
 	// Retry with a fresh snapshot succeeds and sees the first commit.
 	if err := e.RunMode(ModeOCC, IsolationDefault, rmw); err != nil {

@@ -71,10 +71,8 @@ func (e *Engine) RunModeWithRetry(mode Mode, iso Isolation, attempts int, fn fun
 			step = 8
 		}
 		backoff := time.Duration(rand.Intn(step*100)+50) * time.Microsecond
-		if m := e.obsM(); m != nil {
-			m.retries.Inc()
-			m.retryBackoff.Add(int64(backoff))
-		}
+		e.count(cRetries)
+		e.metrics.Load().c[cRetryBackoff].Add(int64(backoff))
 		time.Sleep(backoff)
 	}
 	return err

@@ -1,23 +1,10 @@
 package engine
 
-import "sync/atomic"
-
-// Stats counts engine-level events. All fields are read with atomic loads
-// via Snapshot; benches report them next to throughput numbers so the
-// "why" behind Figure 3 (deadlocks, serialization failures) is visible.
-type Stats struct {
-	Begins           atomic.Int64
-	Commits          atomic.Int64
-	Rollbacks        atomic.Int64
-	Deadlocks        atomic.Int64
-	SerializationErr atomic.Int64
-	LockTimeouts     atomic.Int64
-	Statements       atomic.Int64
-	OCCCommits       atomic.Int64
-	OCCConflicts     atomic.Int64
-}
-
-// StatsSnapshot is a point-in-time copy of Stats.
+// StatsSnapshot is a point-in-time reading of the engine's event counters —
+// the same obs counters the registry exposes as engine_*_total once WireObs
+// has run, so the two can never disagree. Benches report them next to
+// throughput numbers so the "why" behind Figure 3 (deadlocks, serialization
+// failures) is visible.
 type StatsSnapshot struct {
 	Begins           int64
 	Commits          int64
@@ -30,18 +17,19 @@ type StatsSnapshot struct {
 	OCCConflicts     int64
 }
 
-// Snapshot copies the counters.
-func (s *Stats) Snapshot() StatsSnapshot {
+// Stats reads the engine's counters.
+func (e *Engine) Stats() StatsSnapshot {
+	m := e.metrics.Load().c
 	return StatsSnapshot{
-		Begins:           s.Begins.Load(),
-		Commits:          s.Commits.Load(),
-		Rollbacks:        s.Rollbacks.Load(),
-		Deadlocks:        s.Deadlocks.Load(),
-		SerializationErr: s.SerializationErr.Load(),
-		LockTimeouts:     s.LockTimeouts.Load(),
-		Statements:       s.Statements.Load(),
-		OCCCommits:       s.OCCCommits.Load(),
-		OCCConflicts:     s.OCCConflicts.Load(),
+		Begins:           m[cBegins].Value(),
+		Commits:          m[cCommits].Value(),
+		Rollbacks:        m[cRollbacks].Value(),
+		Deadlocks:        m[cDeadlocks].Value(),
+		SerializationErr: m[cSerializationErr].Value(),
+		LockTimeouts:     m[cLockTimeouts].Value(),
+		Statements:       m[cStatements].Value(),
+		OCCCommits:       m[cOCCCommits].Value(),
+		OCCConflicts:     m[cOCCConflicts].Value(),
 	}
 }
 

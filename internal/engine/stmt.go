@@ -44,11 +44,7 @@ func (t *Txn) Select(tableName string, pred storage.Pred, opts ...SelectOpt) ([]
 	}
 
 	if locking {
-		rows, err := t.lockingRead(tableName, pred, mode, true)
-		if err != nil {
-			return nil, err
-		}
-		return rows, nil
+		return t.lockingRead(tableName, pred, mode)
 	}
 	return t.snapshotRead(tableName, pred)
 }
@@ -111,10 +107,8 @@ func (t *Txn) snapshotRead(tableName string, pred storage.Pred) ([]storage.Row, 
 
 // lockingRead locks matching rows and reads their latest committed versions
 // (a "current read"). At PostgreSQL Repeatable Read and above, locking a row
-// whose head moved past the snapshot raises ErrSerialization. wantRows
-// selects whether row data is returned (Select) or just locked (Update's
-// qualification pass reuses this).
-func (t *Txn) lockingRead(tableName string, pred storage.Pred, mode lockmgr.Mode, wantRows bool) ([]storage.Row, error) {
+// whose head moved past the snapshot raises ErrSerialization.
+func (t *Txn) lockingRead(tableName string, pred storage.Pred, mode lockmgr.Mode) ([]storage.Row, error) {
 	snap := t.snapshot() // establish snapshot time for FCW checks
 	e := t.e
 	e.mu.Lock()
@@ -131,42 +125,48 @@ func (t *Txn) lockingRead(tableName string, pred storage.Pred, mode lockmgr.Mode
 	e.mu.Unlock()
 
 	var out []storage.Row
-	for _, pk := range pks {
-		if err := t.lockRow(tableName, pk, mode); err != nil {
-			return nil, err
-		}
-		e.mu.Lock()
-		ch, ok := tb.rows[pk]
-		if !ok {
-			e.mu.Unlock()
-			continue
-		}
-		cv := t.currentVersion(ch)
-		if cv == nil || cv.Deleted {
-			e.mu.Unlock()
-			continue
-		}
-		if t.usesFCW() && ch.ConflictsWith(snap) {
-			e.mu.Unlock()
-			e.stats.SerializationErr.Add(1)
-			if m := e.obsM(); m != nil {
-				m.serializationErr.Inc()
-			}
-			t.abort()
-			return nil, ErrSerialization
-		}
-		if !pred.Match(tb.schema, cv.Row) {
-			e.mu.Unlock()
-			continue
-		}
-		if wantRows {
-			out = append(out, cv.Row.Clone())
-		}
+	err = t.lockCurrent(tb, pks, pred, mode, snap, func(pk int64, cur storage.Row) error {
+		out = append(out, cur.Clone())
 		t.trackRowRead(tb, pk)
 		e.emit(t, EvRead, tableName, pk, nil)
-		e.mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
+}
+
+// lockCurrent is the current-read loop under every locking read and every
+// 2PL write: for each candidate in turn, wait for the row lock, then under
+// the store latch re-read the row — it may have changed or gone while the
+// lock was awaited — apply first-committer-wins where the isolation level
+// asks for it, re-check pred against the current version, and hand the
+// survivors to visit with the latch still held. A lock failure, a
+// serialization failure or visit's error ends the loop.
+func (t *Txn) lockCurrent(tb *table, pks []int64, pred storage.Pred, mode lockmgr.Mode, snap mvcc.Snapshot,
+	visit func(pk int64, cur storage.Row) error) error {
+	e := t.e
+	for _, pk := range pks {
+		if err := t.lockRow(tb.schema.Table, pk, mode); err != nil {
+			return err
+		}
+		e.mu.Lock()
+		ch, cur := t.currentRow(tb, pk)
+		conflict := cur != nil && t.usesFCW() && ch.ConflictsWith(snap)
+		var err error
+		if cur != nil && !conflict && pred.Match(tb.schema, cur) {
+			err = visit(pk, cur)
+		}
+		e.mu.Unlock()
+		if conflict {
+			return t.failSerialization()
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // currentVersion resolves the version a current read sees: the transaction's
@@ -178,29 +178,23 @@ func (t *Txn) currentVersion(ch *mvcc.Chain) *mvcc.Version {
 	return ch.LatestCommitted()
 }
 
-// lockRow blocks until the row lock is granted, translating deadlocks and
-// timeouts. Deadlock victims are rolled back (MySQL semantics).
-func (t *Txn) lockRow(tableName string, pk int64, mode lockmgr.Mode) error {
-	err := mapLockErr(t.e.lm.Acquire(t.owner, rowKey{tableName, pk}, mode))
-	switch err {
-	case nil:
-		return nil
-	case ErrDeadlock:
-		t.e.stats.Deadlocks.Add(1)
-		if m := t.e.obsM(); m != nil {
-			m.deadlocks.Inc()
-		}
-		t.abort()
-		return err
-	case ErrLockTimeout:
-		t.e.stats.LockTimeouts.Add(1)
-		if m := t.e.obsM(); m != nil {
-			m.lockTimeouts.Inc()
-		}
-		return err
-	default:
-		return err
+// currentRow resolves what a current read by t finds at pk: the row's chain
+// and its current image, nil when the row does not exist (never inserted, or
+// its current version is a tombstone). Caller holds e.mu.
+func (t *Txn) currentRow(tb *table, pk int64) (*mvcc.Chain, storage.Row) {
+	ch, ok := tb.rows[pk]
+	if !ok {
+		return nil, nil
 	}
+	if cv := t.currentVersion(ch); cv != nil && !cv.Deleted {
+		return ch, cv.Row
+	}
+	return ch, nil
+}
+
+// lockRow blocks until the row lock is granted (see lockErr for failures).
+func (t *Txn) lockRow(tableName string, pk int64, mode lockmgr.Mode) error {
+	return t.lockErr(t.e.lm.Acquire(t.owner, rowKey{tableName, pk}, mode))
 }
 
 // candidates resolves the access path for pred: primary key point lookup,
@@ -273,21 +267,21 @@ func (t *Txn) trackPredicateRead(tb *table, pred storage.Pred, probe *indexProbe
 	}
 	if v, ok := storage.EqCond(pred, storage.PKColumn); ok {
 		if pk, isInt := v.(int64); isInt {
-			t.noteReadPage(pageKey{tb.schema.Table, storage.PKColumn, t.e.pageOf(pk)})
+			t.noteReadPage(pageKey{tb.schema.Table, storage.PKColumn, pageOf(pk)})
 			return
 		}
 	}
 	if probe != nil {
 		if probe.eq != nil {
-			t.noteReadPage(pageKey{tb.schema.Table, probe.col, t.e.pageOf(probe.eq)})
+			t.noteReadPage(pageKey{tb.schema.Table, probe.col, pageOf(probe.eq)})
 			return
 		}
 		lo, hi := int64(0), int64(0)
 		if probe.lo != nil {
-			lo = t.e.pageOf(probe.lo)
+			lo = pageOf(probe.lo)
 		}
 		if probe.hi != nil {
-			hi = t.e.pageOf(probe.hi)
+			hi = pageOf(probe.hi)
 		} else {
 			hi = lo + 4 // open ranges track a few pages past the bound
 		}
@@ -305,7 +299,7 @@ func (t *Txn) trackRowRead(tb *table, pk int64) {
 	if !t.usesSSI() {
 		return
 	}
-	t.noteReadPage(pageKey{tb.schema.Table, storage.PKColumn, t.e.pageOf(pk)})
+	t.noteReadPage(pageKey{tb.schema.Table, storage.PKColumn, pageOf(pk)})
 }
 
 // trackRowWrite records SSI write pages for a written row (pk page plus
@@ -314,16 +308,140 @@ func (t *Txn) trackRowWrite(tb *table, pk int64, oldRow, newRow storage.Row) {
 	if t.e.cfg.Dialect != Postgres {
 		return
 	}
-	t.noteWritePage(pageKey{tb.schema.Table, storage.PKColumn, t.e.pageOf(pk)})
+	t.noteWritePage(pageKey{tb.schema.Table, storage.PKColumn, pageOf(pk)})
 	t.noteWritePage(pageKey{tb.schema.Table, "*", 0})
 	for col := range tb.indexes {
 		if oldRow != nil {
-			t.noteWritePage(pageKey{tb.schema.Table, col, t.e.pageOf(oldRow.Get(tb.schema, col))})
+			t.noteWritePage(pageKey{tb.schema.Table, col, pageOf(oldRow.Get(tb.schema, col))})
 		}
 		if newRow != nil {
-			t.noteWritePage(pageKey{tb.schema.Table, col, t.e.pageOf(newRow.Get(tb.schema, col))})
+			t.noteWritePage(pageKey{tb.schema.Table, col, pageOf(newRow.Get(tb.schema, col))})
 		}
 	}
+}
+
+// writeTable resolves the table a write statement names and checks that it
+// has every column of vals. Caller holds e.mu.
+func (e *Engine) writeTable(name string, vals map[string]storage.Value) (*table, error) {
+	tb, err := e.table(name)
+	if err != nil {
+		return nil, err
+	}
+	for col := range vals {
+		if !tb.schema.HasColumn(col) {
+			return nil, fmt.Errorf("engine: table %q has no column %q", name, col)
+		}
+	}
+	return tb, nil
+}
+
+// newRow builds the row an INSERT of vals adds to tb: it takes the explicit
+// "id" or the next auto-increment value as primary key — reserved for good
+// either way, so an insert that later fails or aborts leaves a gap, as real
+// engines do — refuses an explicit key that taken reports in use, and checks
+// the row against the schema. Caller holds e.mu exclusively.
+func newRow(tb *table, vals map[string]storage.Value, taken func(pk int64) bool) (storage.Row, error) {
+	schema := tb.schema
+	var pk int64
+	if v, given := vals[storage.PKColumn]; given {
+		p, isInt := v.(int64)
+		if !isInt {
+			return nil, fmt.Errorf("engine: explicit id must be int64, got %T", v)
+		}
+		if taken(p) {
+			return nil, fmt.Errorf("%w: %s id=%d", ErrDuplicateKey, schema.Table, p)
+		}
+		pk = p
+		if pk > tb.autoInc {
+			tb.autoInc = pk
+		}
+	} else {
+		tb.autoInc++
+		pk = tb.autoInc
+	}
+	row := make(storage.Row, len(schema.Columns))
+	row[0] = pk
+	for i := 1; i < len(schema.Columns); i++ {
+		if v, ok := vals[schema.Columns[i].Name]; ok {
+			row[i] = v
+		}
+	}
+	return row, schema.CheckRow(row)
+}
+
+// rowAfter is the image a write statement leaves of cur: nil for a DELETE,
+// otherwise a copy of cur with set applied (deltas added) and checked against
+// the schema.
+func rowAfter(schema *storage.Schema, cur storage.Row, set map[string]storage.Value, del bool) (storage.Row, error) {
+	if del {
+		return nil, nil
+	}
+	row := cur.Clone()
+	for col, v := range set {
+		if d, isDelta := v.(storage.Delta); isDelta {
+			n, isInt := row.Get(schema, col).(int64)
+			if !isInt {
+				return nil, fmt.Errorf("engine: delta update on non-integer column %s.%s", schema.Table, col)
+			}
+			v = n + d.N
+		}
+		row.Set(schema, col, v)
+	}
+	return row, schema.CheckRow(row)
+}
+
+// emitWrite traces one UPDATE or DELETE of a row.
+func (e *Engine) emitWrite(t *Txn, tableName string, pk int64, set map[string]storage.Value, del bool) {
+	if del {
+		e.emit(t, EvDelete, tableName, pk, nil)
+	} else {
+		e.emit(t, EvWrite, tableName, pk, colsOf(set))
+	}
+}
+
+// install is the engine's one way to write a row: it puts an uncommitted
+// version of pk — row, or a tombstone when row is nil — on the row's chain,
+// adds the index entries the new image needs, and records the write in the
+// transaction's undo list, its redo record and its SSI write pages. old is
+// the image being replaced, nil when the row does not currently exist. A
+// 2PL statement installs as it executes; an OCC commit installs its
+// validated buffer; from here on the two are the same transaction —
+// commitApply, rollback and recovery do not know which it was. install takes
+// ownership of row, emits no event, and needs e.mu held exclusively plus
+// whatever makes t the row's only writer (its X lock).
+func (t *Txn) install(tb *table, pk int64, old, row storage.Row) {
+	ch, existed := tb.rows[pk]
+	if !existed {
+		ch = &mvcc.Chain{}
+		tb.rows[pk] = ch
+	}
+	ch.Prepend(row, row == nil, t.id)
+	u := undoEntry{t: tb, pk: pk, chain: ch, inserted: !existed}
+	op := wal.Op{Kind: wal.OpUpdate, Table: tb.schema.Table, PK: pk}
+	switch {
+	case row == nil:
+		op.Kind, u.delRow = wal.OpDelete, old
+	case old == nil:
+		op.Kind = wal.OpInsert
+		// An optimistic insert reserved its key when it was buffered, but a
+		// recovery in between rebuilds the counter from the log alone.
+		if pk > tb.autoInc {
+			tb.autoInc = pk
+		}
+	}
+	if row != nil {
+		op.Row = row.Clone()
+		for col, ix := range tb.indexes {
+			key := row.Get(tb.schema, col)
+			if old == nil || !storage.Equal(old.Get(tb.schema, col), key) {
+				ix.Add(key, pk)
+				u.addedIdx = append(u.addedIdx, idxEntry{col: col, key: key})
+			}
+		}
+	}
+	t.undo = append(t.undo, u)
+	t.writes = append(t.writes, op)
+	t.trackRowWrite(tb, pk, old, row)
 }
 
 // Insert adds a row. vals maps column names to values; "id" may be supplied
@@ -342,18 +460,11 @@ func (t *Txn) Insert(tableName string, vals map[string]storage.Value) (int64, er
 	e := t.e
 
 	e.mu.Lock()
-	tb, err := e.table(tableName)
+	// Validate columns before any waiting.
+	tb, err := e.writeTable(tableName, vals)
 	if err != nil {
 		e.mu.Unlock()
 		return 0, err
-	}
-	schema := tb.schema
-	// Validate columns before any waiting.
-	for col := range vals {
-		if !schema.HasColumn(col) {
-			e.mu.Unlock()
-			return 0, fmt.Errorf("engine: table %q has no column %q", tableName, col)
-		}
 	}
 	type gapCheck struct {
 		space lockmgr.GapSpace
@@ -371,56 +482,22 @@ func (t *Txn) Insert(tableName string, vals map[string]storage.Value) (int64, er
 
 	// Insert-intention waits happen outside the store latch.
 	for _, c := range checks {
-		if err := mapLockErr(e.lm.InsertIntent(t.owner, c.space, c.key)); err != nil {
-			if err == ErrDeadlock {
-				e.stats.Deadlocks.Add(1)
-				if m := e.obsM(); m != nil {
-					m.deadlocks.Inc()
-				}
-				t.abort()
-			}
-			if err == ErrLockTimeout {
-				e.stats.LockTimeouts.Add(1)
-				if m := e.obsM(); m != nil {
-					m.lockTimeouts.Inc()
-				}
-			}
+		if err := t.lockErr(e.lm.InsertIntent(t.owner, c.space, c.key)); err != nil {
 			return 0, err
 		}
 	}
 
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	var pk int64
-	if v, given := vals[storage.PKColumn]; given {
-		p, isInt := v.(int64)
-		if !isInt {
-			return 0, fmt.Errorf("engine: explicit id must be int64, got %T", v)
-		}
-		if ch, exists := tb.rows[p]; exists {
-			if cv := t.currentVersion(ch); cv != nil && !cv.Deleted {
-				return 0, fmt.Errorf("%w: %s id=%d", ErrDuplicateKey, tableName, p)
-			}
-		}
-		pk = p
-		if pk > tb.autoInc {
-			tb.autoInc = pk
-		}
-	} else {
-		tb.autoInc++
-		pk = tb.autoInc
+	taken := func(pk int64) bool {
+		_, cur := t.currentRow(tb, pk)
+		return cur != nil
 	}
-
-	row := make(storage.Row, len(schema.Columns))
-	row[0] = pk
-	for i := 1; i < len(schema.Columns); i++ {
-		if v, ok := vals[schema.Columns[i].Name]; ok {
-			row[i] = v
-		}
-	}
-	if err := schema.CheckRow(row); err != nil {
+	row, err := newRow(tb, vals, taken)
+	if err != nil {
 		return 0, err
 	}
+	pk := row[0].(int64)
 
 	// Take the row lock before publishing: the key is fresh, so this never
 	// blocks, and it keeps concurrent current reads from seeing the row
@@ -435,28 +512,12 @@ func (t *Txn) Insert(tableName string, vals map[string]storage.Value) (int64, er
 		if err != nil {
 			return 0, err
 		}
-		if ch, exists := tb.rows[pk]; exists {
-			if cv := t.currentVersion(ch); cv != nil && !cv.Deleted {
-				return 0, fmt.Errorf("%w: %s id=%d", ErrDuplicateKey, tableName, pk)
-			}
+		if taken(pk) {
+			return 0, fmt.Errorf("%w: %s id=%d", ErrDuplicateKey, tableName, pk)
 		}
 	}
 
-	ch, existed := tb.rows[pk]
-	if !existed {
-		ch = &mvcc.Chain{}
-		tb.rows[pk] = ch
-	}
-	ch.Prepend(row.Clone(), false, t.id)
-	u := undoEntry{t: tb, pk: pk, chain: ch, inserted: !existed}
-	for col, ix := range tb.indexes {
-		key := row.Get(schema, col)
-		ix.Add(key, pk)
-		u.addedIdx = append(u.addedIdx, idxEntry{col: col, key: key})
-	}
-	t.undo = append(t.undo, u)
-	t.writes = append(t.writes, wal.Op{Kind: wal.OpInsert, Table: tableName, PK: pk, Row: row.Clone()})
-	t.trackRowWrite(tb, pk, nil, row)
+	t.install(tb, pk, nil, row)
 	e.emit(t, EvInsert, tableName, pk, colsOf(vals))
 	return pk, nil
 }
@@ -487,17 +548,10 @@ func (t *Txn) writeRows(tableName string, pred storage.Pred, set map[string]stor
 	e := t.e
 
 	e.mu.Lock()
-	tb, err := e.table(tableName)
+	tb, err := e.writeTable(tableName, set)
 	if err != nil {
 		e.mu.Unlock()
 		return 0, err
-	}
-	schema := tb.schema
-	for col := range set {
-		if !schema.HasColumn(col) {
-			e.mu.Unlock()
-			return 0, fmt.Errorf("engine: table %q has no column %q", tableName, col)
-		}
 	}
 	pks, probe := t.candidates(tb, pred)
 	if t.usesGapLocks() {
@@ -506,80 +560,17 @@ func (t *Txn) writeRows(tableName string, pred storage.Pred, set map[string]stor
 	e.mu.Unlock()
 
 	changed := 0
-	for _, pk := range pks {
-		if err := t.lockRow(tableName, pk, lockmgr.Exclusive); err != nil {
-			return changed, err
+	err = t.lockCurrent(tb, pks, pred, lockmgr.Exclusive, snap, func(pk int64, cur storage.Row) error {
+		row, err := rowAfter(tb.schema, cur, set, del)
+		if err != nil {
+			return err
 		}
-		e.mu.Lock()
-		ch, ok := tb.rows[pk]
-		if !ok {
-			e.mu.Unlock()
-			continue
-		}
-		cv := t.currentVersion(ch)
-		if cv == nil || cv.Deleted {
-			e.mu.Unlock()
-			continue
-		}
-		if t.usesFCW() && ch.ConflictsWith(snap) {
-			e.mu.Unlock()
-			e.stats.SerializationErr.Add(1)
-			if m := e.obsM(); m != nil {
-				m.serializationErr.Inc()
-			}
-			t.abort()
-			return changed, ErrSerialization
-		}
-		if !pred.Match(schema, cv.Row) {
-			e.mu.Unlock()
-			continue
-		}
-
-		if del {
-			ch.Prepend(nil, true, t.id)
-			t.undo = append(t.undo, undoEntry{t: tb, pk: pk, chain: ch, delRow: cv.Row})
-			t.writes = append(t.writes, wal.Op{Kind: wal.OpDelete, Table: tableName, PK: pk})
-			t.trackRowWrite(tb, pk, cv.Row, nil)
-			e.emit(t, EvDelete, tableName, pk, nil)
-			changed++
-			e.mu.Unlock()
-			continue
-		}
-
-		newRow := cv.Row.Clone()
-		for col, v := range set {
-			if d, isDelta := v.(storage.Delta); isDelta {
-				cur, isInt := newRow.Get(schema, col).(int64)
-				if !isInt {
-					e.mu.Unlock()
-					return changed, fmt.Errorf("engine: delta update on non-integer column %s.%s", tableName, col)
-				}
-				newRow.Set(schema, col, cur+d.N)
-				continue
-			}
-			newRow.Set(schema, col, v)
-		}
-		if err := schema.CheckRow(newRow); err != nil {
-			e.mu.Unlock()
-			return changed, err
-		}
-		ch.Prepend(newRow, false, t.id)
-		u := undoEntry{t: tb, pk: pk, chain: ch}
-		for col, ix := range tb.indexes {
-			oldV, newV := cv.Row.Get(schema, col), newRow.Get(schema, col)
-			if !storage.Equal(oldV, newV) {
-				ix.Add(newV, pk)
-				u.addedIdx = append(u.addedIdx, idxEntry{col: col, key: newV})
-			}
-		}
-		t.undo = append(t.undo, u)
-		t.writes = append(t.writes, wal.Op{Kind: wal.OpUpdate, Table: tableName, PK: pk, Row: newRow.Clone()})
-		t.trackRowWrite(tb, pk, cv.Row, newRow)
-		e.emit(t, EvWrite, tableName, pk, colsOf(set))
+		t.install(tb, pk, cur, row)
+		e.emitWrite(t, tableName, pk, set, del)
 		changed++
-		e.mu.Unlock()
-	}
-	return changed, nil
+		return nil
+	})
+	return changed, err
 }
 
 // UpdateIf is the conditional single-row update every optimistic ad hoc

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"strconv"
+	"time"
 
 	"adhoctx/internal/lockmgr"
 	"adhoctx/internal/mvcc"
@@ -138,10 +139,7 @@ func (t *Txn) startStatement() error {
 		return ErrConnLost
 	}
 	t.e.cfg.Net.ChargeRTT(1)
-	t.e.stats.Statements.Add(1)
-	if m := t.e.obsM(); m != nil {
-		m.statements.Inc()
-	}
+	t.e.count(cStatements)
 	return nil
 }
 
@@ -200,8 +198,38 @@ func (t *Txn) abort() {
 	t.rollbackState()
 }
 
+// lockErr translates the outcome of a lock wait and keeps its books:
+// deadlocks and timeouts are counted, and a deadlock victim is rolled back
+// (MySQL semantics) while a timed-out statement leaves the transaction
+// usable.
+func (t *Txn) lockErr(err error) error {
+	err = mapLockErr(err)
+	switch err {
+	case ErrDeadlock:
+		t.e.count(cDeadlocks)
+		t.abort()
+	case ErrLockTimeout:
+		t.e.count(cLockTimeouts)
+	}
+	return err
+}
+
+// failSerialization counts a first-committer-wins or SSI failure and rolls
+// the transaction back. The caller must not hold e.mu.
+func (t *Txn) failSerialization() error {
+	t.e.count(cSerializationErr)
+	t.abort()
+	return ErrSerialization
+}
+
 // Commit makes the transaction's writes durable and visible, releases its
 // locks, and returns ErrSerialization if an SSI conflict dooms it.
+//
+// Both execution modes commit through one tail — commitApply under the store
+// latch, then commitAppend and commitDone — and differ only in what comes
+// before it (2PL: the SSI check; OCC: validation, see occCommit) and in when
+// the lock manager lets go: 2PL holds its row locks until the record is
+// durable, OCC drops its commit-time probe locks before the append.
 func (t *Txn) Commit() error {
 	sched.Point("engine/commit")
 	if sched.Enabled() {
@@ -229,22 +257,29 @@ func (t *Txn) Commit() error {
 	}
 
 	e.mu.Lock()
-	if t.usesSSI() {
-		if conflict := e.ssiConflict(t); conflict {
-			e.mu.Unlock()
-			e.stats.SerializationErr.Add(1)
-			if m := e.obsM(); m != nil {
-				m.serializationErr.Inc()
-			}
-			t.rollbackState()
-			return ErrSerialization
-		}
+	if t.usesSSI() && e.ssiConflict(t) {
+		e.mu.Unlock()
+		return t.failSerialization()
 	}
+	t.commitApply()
+	e.mu.Unlock()
+	t.commitAppend()
+	e.lm.ReleaseAll(t.owner)
+	t.commitDone(commitStart)
+	return nil
+}
+
+// commitApply makes the transaction's installed writes — its undo list,
+// whichever mode put them there — visible at the next commit sequence
+// number, and tells the two validators about them. Caller holds e.mu
+// exclusively.
+func (t *Txn) commitApply() {
+	e := t.e
 	e.csn++
-	csn := e.csn
+	ws := bocc.WriteSet{CSN: e.csn, Rows: make([]bocc.RowID, 0, len(t.undo))}
 	for i := range t.undo {
 		u := &t.undo[i]
-		u.chain.Commit(t.id, csn)
+		u.chain.Commit(t.id, e.csn)
 		if u.delRow != nil {
 			// Eager index cleanup for committed deletes. Readers with
 			// older snapshots lose the *index path* to the dead row
@@ -255,60 +290,55 @@ func (t *Txn) Commit() error {
 			// quadratically.
 			e.dropIndexEntries(u.t, u.delRow, u.pk)
 		}
+		ws.Rows = append(ws.Rows, bocc.RowID{Table: u.t.schema.Table, PK: u.pk})
 	}
-	if t.usesSSI() || (e.cfg.Dialect == Postgres && len(t.writePages) > 0) {
-		e.noteCommitFootprint(commitFootprint{
-			csn:        csn,
-			txnID:      t.id,
-			writePages: t.writePages,
-		}, 0)
-	}
-	// 2PL commits record their write-sets into the OCC validation log too,
-	// so a concurrent optimistic transaction validating against this
-	// commit window sees them (mixed-mode first-committer-wins).
-	if len(t.undo) > 0 {
-		ws := bocc.WriteSet{CSN: csn, Rows: make([]bocc.RowID, 0, len(t.undo))}
-		for i := range t.undo {
-			u := &t.undo[i]
-			ws.Rows = append(ws.Rows, bocc.RowID{Table: u.t.schema.Table, PK: u.pk})
-		}
-		e.occLog.Note(ws)
-	}
-	e.mu.Unlock()
+	// Postgres Serializable readers check commit footprints (write pages are
+	// only tracked under that dialect), optimistic validators the write-set
+	// log; commits of either mode appear in both, so mixed-mode conflicts
+	// are seen from both sides.
+	e.noteCommitFootprint(commitFootprint{csn: e.csn, txnID: t.id, writePages: t.writePages})
+	e.occLog.Note(ws)
+}
 
-	if len(t.writes) > 0 {
-		// The WAL owns the flush cost (serialized fsync; one per commit, or
-		// one per batch under group commit).
-		lsn, err := e.log.Append(t.id, t.writes)
-		if err != nil {
-			if ce, ok := err.(*sim.CrashError); ok {
-				// A WAL crash point fired while this commit's batch was in
-				// flight: the "process" died before the commit was
-				// acknowledged. Re-panic so the serving layer's crash
-				// recovery (server.crash) treats it as process death.
-				panic(ce)
-			}
-			// Encoding failures are programming errors; the data is
-			// already visible, so surface loudly.
-			panic(fmt.Sprintf("engine: WAL append failed: %v", err))
-		}
-		t.commitLSN = lsn
-		if m := e.obsM(); m != nil {
-			m.walFsyncs.Inc()
-		}
+// commitAppend makes the commit durable: the one place a transaction's redo
+// record reaches the WAL, which owns the flush cost (serialized fsync; one
+// per commit, or one per batch under group commit). It runs after
+// commitApply has released the latch, so the record's LSN is assigned after
+// the commit is visible.
+func (t *Txn) commitAppend() {
+	if len(t.writes) == 0 {
+		return
 	}
+	lsn, err := t.e.log.Append(t.id, t.writes)
+	if err != nil {
+		if ce, ok := err.(*sim.CrashError); ok {
+			// A WAL crash point fired while this commit's batch was in
+			// flight: the "process" died before the commit was
+			// acknowledged. Re-panic so the serving layer's crash
+			// recovery (server.crash) treats it as process death.
+			panic(ce)
+		}
+		// Encoding failures are programming errors; the data is
+		// already visible, so surface loudly.
+		panic(fmt.Sprintf("engine: WAL append failed: %v", err))
+	}
+	t.commitLSN = lsn
+	t.e.count(cWALFsyncs)
+}
 
-	e.lm.ReleaseAll(t.owner)
+// commitDone finishes a committed transaction: counters, commit latency, and
+// the commit event.
+func (t *Txn) commitDone(commitStart time.Time) {
+	e := t.e
 	t.done = true
-	e.stats.Commits.Add(1)
-	if m := e.obsM(); m != nil {
-		m.commits.Inc()
-		if !commitStart.IsZero() {
-			m.commitSeconds.Since(commitStart)
-		}
+	e.count(cCommits)
+	if t.mode == ModeOCC {
+		e.count(cOCCCommits)
+	}
+	if !commitStart.IsZero() {
+		e.metrics.Load().commitSeconds.Since(commitStart)
 	}
 	e.emit(t, EvCommit, "", 0, nil)
-	return nil
 }
 
 // ssiConflict implements the conservative SSI rule: abort the committer if
@@ -357,10 +387,7 @@ func (t *Txn) rollbackState() {
 	e.mu.Unlock()
 	e.lm.ReleaseAll(t.owner)
 	t.done = true
-	e.stats.Rollbacks.Add(1)
-	if m := e.obsM(); m != nil {
-		m.rollbacks.Inc()
-	}
+	e.count(cRollbacks)
 	e.emit(t, EvRollback, "", 0, nil)
 }
 
@@ -430,15 +457,7 @@ func (t *Txn) AdvisoryLock(key int64) error {
 	if err := t.startStatement(); err != nil {
 		return err
 	}
-	err := mapLockErr(t.e.lm.Acquire(t.owner, advisoryKey{key}, lockmgr.Exclusive))
-	if err == ErrDeadlock {
-		t.e.stats.Deadlocks.Add(1)
-		if m := t.e.obsM(); m != nil {
-			m.deadlocks.Inc()
-		}
-		t.abort()
-	}
-	return err
+	return t.lockErr(t.e.lm.Acquire(t.owner, advisoryKey{key}, lockmgr.Exclusive))
 }
 
 // AdvisoryTryLock attempts a non-blocking user lock acquisition.

@@ -357,7 +357,7 @@ func runWorkload(api, mode string, contended bool, w *workload, cfg Figure3Confi
 		}
 	}
 
-	before := w.eng.Stats().Snapshot()
+	before := w.eng.Stats()
 	var requests, failures atomic.Int64
 	deadline := time.Now().Add(cfg.Duration)
 	var wg sync.WaitGroup
@@ -384,7 +384,7 @@ func runWorkload(api, mode string, contended bool, w *workload, cfg Figure3Confi
 		ReqPerSec: float64(requests.Load()) / cfg.Duration.Seconds(),
 		Requests:  requests.Load(),
 		Failures:  failures.Load(),
-		Stats:     w.eng.Stats().Snapshot().Sub(before),
+		Stats:     w.eng.Stats().Sub(before),
 	}, nil
 }
 

@@ -49,10 +49,6 @@ type Config struct {
 	// request for this long is closed and its open transaction rolled back,
 	// so an abandoned client never leaks locks (default 30s).
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one response write (default 10s). Statement
-	// execution itself is bounded by the engine's lock timeout, matching the
-	// databases the paper studies.
-	WriteTimeout time.Duration
 	// DrainTimeout bounds Close's graceful drain before remaining
 	// connections are forced closed (default 5s).
 	DrainTimeout time.Duration
@@ -89,6 +85,11 @@ type Config struct {
 	Crash *sim.CrashPlan
 }
 
+// writeTimeout bounds one response write. Statement execution itself is
+// bounded by the engine's lock timeout, matching the databases the paper
+// studies.
+const writeTimeout = 10 * time.Second
+
 // Crash point names checked when Config.Crash is armed.
 const (
 	// CrashPointCommitBefore fires after the client's COMMIT frame is
@@ -118,9 +119,6 @@ func (c *Config) withDefaults() Config {
 	}
 	if out.IdleTimeout <= 0 {
 		out.IdleTimeout = 30 * time.Second
-	}
-	if out.WriteTimeout <= 0 {
-		out.WriteTimeout = 10 * time.Second
 	}
 	if out.DrainTimeout <= 0 {
 		out.DrainTimeout = 5 * time.Second
@@ -406,7 +404,7 @@ func (s *Server) reject(conn net.Conn, m *serverMetrics, msg string) {
 	}
 	frame, err := wire.AppendResponse(wire.StartFrame(nil), &wire.Response{Code: wire.CodeSaturated, Msg: msg})
 	if err == nil {
-		_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		_ = wire.WriteFrame(conn, frame)
 	}
 	_ = conn.Close()
@@ -454,7 +452,7 @@ func newSession(srv *Server, conn net.Conn, m *serverMetrics) *session {
 // path: the whole point of sessions being first-class is that locks cannot
 // leak past them.
 func (s *session) run() {
-	defer s.rollbackOpen(false)
+	defer s.rollbackOpen()
 	// A fired crash point panics with *sim.CrashError. The "process" died:
 	// drop the transaction handle WITHOUT rolling back (the deferred
 	// rollback above must not run release code a dead server couldn't) and
@@ -500,7 +498,7 @@ func (s *session) run() {
 			return
 		}
 		s.writeBuf = out
-		_ = s.conn.SetWriteDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
+		_ = s.conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if err := wire.WriteFrame(s.w, out); err != nil {
 			_ = s.conn.Close()
 			return
@@ -522,7 +520,7 @@ func (s *session) run() {
 
 // readFrame reads one request frame in two stages: the wait for the frame's
 // first byte runs under the idle-reap deadline, and once any byte has
-// arrived the rest of the frame runs under the WriteTimeout-scale bound. A
+// arrived the rest of the frame runs under the writeTimeout-scale bound. A
 // request already in flight when the reap deadline passes is therefore
 // served, not reaped — the reaper only ever fires between requests, so it
 // can never roll a transaction back under a statement the client has
@@ -541,7 +539,7 @@ func (s *session) readFrame() (payload []byte, idle bool, err error) {
 		return nil, isTimeout(err), err
 	}
 	// A frame is in flight: it gets its own (request-scale) deadline.
-	_ = s.conn.SetReadDeadline(time.Now().Add(s.srv.cfg.WriteTimeout))
+	_ = s.conn.SetReadDeadline(time.Now().Add(writeTimeout))
 	payload, err = wire.ReadFrame(s.br, s.readBuf)
 	if err != nil {
 		return nil, false, err
@@ -550,9 +548,8 @@ func (s *session) readFrame() (payload []byte, idle bool, err error) {
 	return payload, false, nil
 }
 
-// rollbackOpen rolls back the session's open transaction, if any. reaped is
-// informational only (metrics are counted at the read site).
-func (s *session) rollbackOpen(_ bool) {
+// rollbackOpen rolls back the session's open transaction, if any.
+func (s *session) rollbackOpen() {
 	if s.txn != nil && !s.txn.Done() {
 		_ = s.txn.Rollback()
 	}
@@ -631,7 +628,7 @@ func (s *session) handle(payload []byte) wire.Op {
 		if !s.writableTxn() || !s.partitionOK(r) {
 			break
 		}
-		s.withTxn(r, func(t *engine.Txn) error {
+		s.withTxn(func(t *engine.Txn) error {
 			vals := colValMap(r)
 			pk, err := t.Insert(r.Table, vals)
 			s.resp.N = pk
@@ -641,7 +638,7 @@ func (s *session) handle(payload []byte) wire.Op {
 		if !s.writableTxn() || !s.partitionOK(r) {
 			break
 		}
-		s.withTxn(r, func(t *engine.Txn) error {
+		s.withTxn(func(t *engine.Txn) error {
 			n, err := t.Update(r.Table, r.Pred, colValMap(r))
 			s.resp.N = int64(n)
 			return err
@@ -650,7 +647,7 @@ func (s *session) handle(payload []byte) wire.Op {
 		if !s.writableTxn() || !s.partitionOK(r) {
 			break
 		}
-		s.withTxn(r, func(t *engine.Txn) error {
+		s.withTxn(func(t *engine.Txn) error {
 			n, err := t.Delete(r.Table, r.Pred)
 			s.resp.N = int64(n)
 			return err
@@ -764,7 +761,7 @@ func pkTarget(r *wire.Request) (int64, bool) {
 }
 
 // withTxn runs a statement against the open transaction.
-func (s *session) withTxn(_ *wire.Request, fn func(*engine.Txn) error) {
+func (s *session) withTxn(fn func(*engine.Txn) error) {
 	if s.txn == nil {
 		s.fail(wire.CodeNoTxn, "statement with no open transaction")
 		return
@@ -775,7 +772,7 @@ func (s *session) withTxn(_ *wire.Request, fn func(*engine.Txn) error) {
 }
 
 func (s *session) selectRows(r *wire.Request) {
-	s.withTxn(r, func(t *engine.Txn) error {
+	s.withTxn(func(t *engine.Txn) error {
 		var opts []engine.SelectOpt
 		switch r.Lock {
 		case wire.LockForUpdate:

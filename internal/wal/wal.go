@@ -182,7 +182,10 @@ type shipBatch struct {
 	members     []*pendingAppend
 }
 
-// walMetrics is the log's resolved instrument set (see WireObs).
+// walMetrics is the log's instrument set. The two counters exist from
+// NewWithOptions — they are what AppendCount and FsyncCount read — and move
+// onto a registry's series at WireObs; the rest stay nil (no-op instruments)
+// until then.
 type walMetrics struct {
 	appends     *obs.Counter
 	fsyncs      *obs.Counter
@@ -222,9 +225,6 @@ type Log struct {
 	// time, like a single WAL disk.
 	flushMu sync.Mutex
 
-	fsyncs  atomic.Int64
-	appends atomic.Int64
-
 	// durable is the highest LSN whose record has survived an fsync — the
 	// replication shipping frontier and the follower-staleness clock.
 	durable atomic.Uint64
@@ -248,7 +248,9 @@ func NewWithOptions(opt Options) *Log {
 	if dev == nil {
 		dev = simDevice{lat: opt.Latency}
 	}
-	return &Log{opt: opt, dev: dev, nextLSN: 1, full: make(chan struct{}, 1)}
+	l := &Log{opt: opt, dev: dev, nextLSN: 1, full: make(chan struct{}, 1)}
+	l.om.Store(&walMetrics{appends: new(obs.Counter), fsyncs: new(obs.Counter)})
+	return l
 }
 
 // Load primes a fresh log with state recovered from a durable device: raw is
@@ -271,12 +273,15 @@ func (l *Log) Load(raw []byte, lastLSN uint64) {
 // wal_ship_batch_records histogram (records per shipper call — above the
 // group-commit batch size when fsync batches coalesce behind a slow ship) and
 // wal_ship_queue_batches gauge (fsync batches queued or on the wire; stuck
-// above zero is a stalled follower). A nil registry is a no-op.
+// above zero is a stalled follower). The two counts carry over what they
+// held, so AppendCount and FsyncCount never step back; logs wired to one
+// registry share its series. Wire before starting load: an event counted
+// during the move can land on the retired counter. A nil registry is a no-op.
 func (l *Log) WireObs(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	l.om.Store(&walMetrics{
+	old, om := l.om.Load(), &walMetrics{
 		appends:   reg.Counter("wal_appends_total"),
 		fsyncs:    reg.Counter("wal_fsyncs_total"),
 		batches:   reg.Counter("wal_group_commits_total"),
@@ -284,7 +289,12 @@ func (l *Log) WireObs(reg *obs.Registry) {
 
 		shipRecords: reg.Histogram("wal_ship_batch_records"),
 		shipQueue:   reg.Gauge("wal_ship_queue_batches"),
-	})
+	}
+	l.om.Store(om)
+	if om.appends != old.appends {
+		om.appends.Add(old.appends.Value())
+		om.fsyncs.Add(old.fsyncs.Value())
+	}
 }
 
 // SetShipper installs fn as the log's replication hook: fn receives raw log
@@ -322,9 +332,7 @@ func (l *Log) ship(raw []byte, first, last uint64) {
 	}
 	l.opt.Crash.Check(CrashPointShipBefore)
 	(*fn)(raw, first, last)
-	if om := l.om.Load(); om != nil {
-		om.shipRecords.ObserveValue(int64(last - first + 1))
-	}
+	l.om.Load().shipRecords.ObserveValue(int64(last - first + 1))
 	l.opt.Crash.Check(CrashPointShipAfter)
 }
 
@@ -346,10 +354,10 @@ func (l *Log) advanceDurable(lsn uint64) {
 // FsyncCount returns the number of flushes charged so far. With group
 // commit, concurrent Appends share flushes, so FsyncCount < AppendCount
 // under load — the whole point.
-func (l *Log) FsyncCount() int64 { return l.fsyncs.Load() }
+func (l *Log) FsyncCount() int64 { return l.om.Load().fsyncs.Value() }
 
 // AppendCount returns the number of records appended so far.
-func (l *Log) AppendCount() int64 { return l.appends.Load() }
+func (l *Log) AppendCount() int64 { return l.om.Load().appends.Value() }
 
 // syncDevice pays one serialized device flush. Staging (dev.Append) happens
 // under l.mu in the same critical section as the in-memory append, so the
@@ -365,10 +373,7 @@ func (l *Log) syncDevice() error {
 	if err != nil {
 		return fmt.Errorf("wal: device sync: %w", err)
 	}
-	l.fsyncs.Add(1)
-	if om := l.om.Load(); om != nil {
-		om.fsyncs.Inc()
-	}
+	l.om.Load().fsyncs.Inc()
 	return nil
 }
 
@@ -413,10 +418,7 @@ func finish(members []*pendingAppend, err error) {
 // record has returned; the returned error is that outcome (a *sim.CrashError
 // if a crash point killed either stage before this record was acknowledged).
 func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
-	l.appends.Add(1)
-	if om := l.om.Load(); om != nil {
-		om.appends.Inc()
-	}
+	l.om.Load().appends.Inc()
 	if l.opt.GroupCommit {
 		return l.appendGroup(txnID, ops)
 	}
@@ -609,10 +611,9 @@ func (l *Log) flushBatch(batch []*pendingAppend) error {
 		queued = true
 		return nil
 	}()
-	if om := l.om.Load(); om != nil {
-		om.batches.Inc()
-		om.batchSize.ObserveValue(int64(len(batch)))
-	}
+	om := l.om.Load()
+	om.batches.Inc()
+	om.batchSize.ObserveValue(int64(len(batch)))
 	if !queued {
 		finish(batch, err)
 	}
@@ -644,9 +645,7 @@ func (l *Log) shippableLocked() int {
 
 // noteShipQueueLocked publishes the ship stage's depth. Caller holds l.mu.
 func (l *Log) noteShipQueueLocked() {
-	if om := l.om.Load(); om != nil {
-		om.shipQueue.Set(int64(len(l.shipQ) + len(l.inflight)))
-	}
+	l.om.Load().shipQueue.Set(int64(len(l.shipQ) + len(l.inflight)))
 }
 
 // runShipper is the ship stage: take everything shippable as one contiguous
