@@ -10,7 +10,12 @@
 // every crash kills the ENTIRE serving stack — engine, WAL image, locks,
 // server — then re-opens the directory, checkpoint and all. The oracles
 // then include acked ⊆ recovered across the real restart, verified by a
-// final cold re-open.
+// final cold re-open. Restart mode always runs 2PL on a group-commit WAL
+// whose fsync is the data directory's own, so it refuses -groupcommit,
+// -fsync, -occ and -shards (exit 2) instead of silently ignoring them.
+//
+// Exit codes: 0 = every seed passed, 1 = a seed failed its oracles, 2 = the
+// invocation was wrong or the harness itself failed.
 //
 // Usage:
 //
@@ -21,36 +26,65 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 	"time"
 
 	"adhoctx/internal/chaos"
 	"adhoctx/internal/faults"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:])) }
+
+// restartIgnores lists the flags restart mode would ignore (see the package
+// comment); -restart refuses them.
+var restartIgnores = []string{"groupcommit", "fsync", "occ", "shards"}
+
+// run parses args, runs the sweep, and returns the exit code: 0 = every seed
+// passed, 1 = a seed failed its oracles, 2 = the invocation or the harness
+// itself failed.
+func run(args []string) int {
+	fs := flag.NewFlagSet("adhocchaos", flag.ContinueOnError)
 	var (
-		seed     = flag.Int64("seed", 1, "first seed")
-		seeds    = flag.Int("seeds", 20, "number of consecutive seeds to run")
-		clients  = flag.Int("clients", 8, "concurrent transfer workers per seed")
-		ops      = flag.Int("ops", 40, "transfers per worker")
-		rows     = flag.Int("rows", 8, "accounts")
-		crashes  = flag.Int("crashes", 1, "server crash/recover cycles per seed")
-		noFaults = flag.Bool("nofaults", false, "disable network fault injection (crashes only)")
-		group    = flag.Bool("groupcommit", false, "run the engine with WAL group commit (adds the wal flush crash points)")
-		shards   = flag.Int("shards", 0, "lock manager shard count (0 = default)")
-		fsync    = flag.Duration("fsync", 0, "simulated WAL device flush time")
-		occ      = flag.Bool("occ", false, "run transfers as optimistic (OCC) transactions; adds the engine OCC crash points")
-		restart  = flag.Bool("restart", false, "restart mode: on-disk WAL, crashes kill and re-open the whole stack")
-		verbose  = flag.Bool("v", false, "print every seed's report, not just failures")
+		seed     = fs.Int64("seed", 1, "first seed")
+		seeds    = fs.Int("seeds", 20, "number of consecutive seeds to run")
+		clients  = fs.Int("clients", 8, "concurrent transfer workers per seed")
+		ops      = fs.Int("ops", 40, "transfers per worker")
+		rows     = fs.Int("rows", 8, "accounts")
+		crashes  = fs.Int("crashes", 1, "server crash/recover cycles per seed")
+		noFaults = fs.Bool("nofaults", false, "disable network fault injection (crashes only)")
+		group    = fs.Bool("groupcommit", false, "run the engine with WAL group commit (adds the wal flush crash points)")
+		shards   = fs.Int("shards", 0, "lock manager shard count (0 = default)")
+		fsync    = fs.Duration("fsync", 0, "simulated WAL device flush time")
+		occ      = fs.Bool("occ", false, "run transfers as optimistic (OCC) transactions; adds the engine OCC crash points")
+		restart  = fs.Bool("restart", false, "restart mode: on-disk WAL, crashes kill and re-open the whole stack")
+		verbose  = fs.Bool("v", false, "print every seed's report, not just failures")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *restart {
-		runRestartMode(*seed, *seeds, *clients, *ops, *rows, *crashes, *noFaults, *verbose)
-		return
+		var ignored []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(restartIgnores, f.Name) {
+				ignored = append(ignored, "-"+f.Name)
+			}
+		})
+		if len(ignored) > 0 {
+			fmt.Fprintf(os.Stderr, "adhocchaos: -restart would ignore %s: restart mode always runs 2PL "+
+				"on a group-commit WAL whose fsync is the data directory's own, with the default lock manager\n",
+				strings.Join(ignored, ", "))
+			return 2
+		}
+		return runRestartMode(*seed, *seeds, *clients, *ops, *rows, *crashes, *noFaults, *verbose)
 	}
 
 	mk := func(s int64) chaos.Config {
@@ -77,7 +111,7 @@ func main() {
 		rep, err := chaos.Run(mk(s))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: harness failure: %v\n", s, err)
-			os.Exit(2)
+			return 2
 		}
 		if rep.Failed() {
 			failures++
@@ -94,18 +128,19 @@ func main() {
 	}
 	fmt.Printf("%d seeds in %s: %d failed\n", *seeds, time.Since(start).Round(time.Millisecond), failures)
 	if failures > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-func runRestartMode(seed int64, seeds, clients, ops, rows, crashes int, noFaults, verbose bool) {
+func runRestartMode(seed int64, seeds, clients, ops, rows, crashes int, noFaults, verbose bool) int {
 	start := time.Now()
 	var failures int
 	for s := seed; s < seed+int64(seeds); s++ {
 		dir, err := os.MkdirTemp("", "adhocchaos-restart-*")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: temp dir: %v\n", s, err)
-			os.Exit(2)
+			return 2
 		}
 		cfg := chaos.RestartConfig{
 			Seed:     s,
@@ -121,7 +156,7 @@ func runRestartMode(seed int64, seeds, clients, ops, rows, crashes int, noFaults
 		rep, err := chaos.RunRestart(cfg)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "seed %d: harness failure: %v\n", s, err)
-			os.Exit(2)
+			return 2
 		}
 		if rep.Failed() {
 			failures++
@@ -140,6 +175,7 @@ func runRestartMode(seed int64, seeds, clients, ops, rows, crashes int, noFaults
 	}
 	fmt.Printf("%d restart seeds in %s: %d failed\n", seeds, time.Since(start).Round(time.Millisecond), failures)
 	if failures > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -606,8 +606,11 @@ func (c *Client) retryable(err error) bool {
 	var we *wire.Error
 	if errors.As(err, &we) {
 		// A typed server reply means the transport worked; of those, only
-		// "the database behind the server died" is a connection-loss case.
-		return we.Code == wire.CodeConnLost
+		// "the database behind the server died" and "this server is
+		// draining" are connection-loss cases. CodeShutdown answers a begin,
+		// so nothing ran: a server killed mid-run drains its old sessions
+		// while its replacement starts.
+		return we.Code == wire.CodeConnLost || we.Code == wire.CodeShutdown
 	}
 	return true
 }

@@ -301,3 +301,46 @@ func TestBeginRejectionPoolsCleanConn(t *testing.T) {
 		})
 	}
 }
+
+// TestDrainingServerRetriedOnConnLoss: a server that is draining (killed and
+// closing while its replacement starts) answers the opening frame with
+// CodeShutdown. Nothing ran, so under RetryConnLost the client retries on a
+// fresh connection, like any other lost connection; without it the answer
+// is final.
+func TestDrainingServerRetriedOnConnLoss(t *testing.T) {
+	for _, retry := range []bool{true, false} {
+		var dials atomic.Int32
+		dial := func(addr string, timeout time.Duration) (net.Conn, error) {
+			if dials.Add(1) > 1 {
+				return net.DialTimeout("tcp", addr, timeout)
+			}
+			cliEnd, srvEnd := net.Pipe()
+			go func() {
+				defer srvEnd.Close()
+				if err := wire.ServerHandshake(srvEnd); err != nil {
+					return
+				}
+				if _, err := wire.ReadFrame(srvEnd, nil); err != nil {
+					return
+				}
+				frame, _ := wire.AppendResponse(wire.StartFrame(nil), &wire.Response{Code: wire.CodeShutdown, Msg: "draining"})
+				_ = wire.WriteFrame(srvEnd, frame)
+			}()
+			return cliEnd, nil
+		}
+		cli, eng, _ := newStack(t, server.Config{}, client.Config{Dial: dial, BackoffBase: time.Millisecond, RetryConnLost: retry})
+		err := cli.RunTxn(engine.IsolationDefault, increment)
+		want := int64(0)
+		if retry {
+			want = 1
+			if err != nil {
+				t.Fatalf("RetryConnLost: a draining server's answer was not retried: %v", err)
+			}
+		} else if we, ok := wire.AsError(err); !ok || we.Code != wire.CodeShutdown {
+			t.Fatalf("without RetryConnLost: %v, want CodeShutdown", err)
+		}
+		if got := qty(t, eng); got != want {
+			t.Fatalf("RetryConnLost=%v: qty = %v, want %d", retry, got, want)
+		}
+	}
+}

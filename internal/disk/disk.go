@@ -124,6 +124,14 @@ type Store struct {
 	syncedLSN uint64
 	ckptLSN   uint64
 	closed    bool
+
+	// ckptMu serializes checkpoints. A checkpoint writes and fsyncs its temp
+	// file under ckptMu alone, so WAL appends and syncs (s.mu) never wait on
+	// that I/O; it takes s.mu only to publish the file.
+	ckptMu sync.Mutex
+	// ckptWritten, when set, runs after a checkpoint's temp file is written,
+	// before it is fsynced. Test seam: it holds a checkpoint mid-write.
+	ckptWritten func()
 }
 
 // Open opens (or creates) a data directory and recovers its state: newest
@@ -409,13 +417,20 @@ func (s *Store) syncDir() error {
 // only then, older checkpoints and fully-covered segments are deleted.
 // snapshot must be WAL-encoded records (engine.Snapshot produces them).
 // A checkpoint at or below the current checkpoint LSN is a no-op.
+//
+// Checkpoints run one at a time, and the temp file is written and fsynced
+// without the store lock: WAL Append and Sync proceed meanwhile. Only the
+// rename and what follows it hold the lock.
 func (s *Store) Checkpoint(snapshot []byte, lsn uint64) error {
+	s.ckptMu.Lock()
+	defer s.ckptMu.Unlock()
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
+	closed, covered := s.closed, lsn <= s.ckptLSN
+	s.mu.Unlock()
+	if closed {
 		return fmt.Errorf("disk: store closed")
 	}
-	if lsn <= s.ckptLSN {
+	if covered {
 		return nil
 	}
 	final := filepath.Join(s.dir, fmt.Sprintf("checkpoint-%020d.ckpt", lsn))
@@ -431,6 +446,9 @@ func (s *Store) Checkpoint(snapshot []byte, lsn uint64) error {
 		if _, err := f.Write(snapshot); err != nil {
 			return err
 		}
+		if s.ckptWritten != nil {
+			s.ckptWritten()
+		}
 		return f.Sync()
 	}()
 	if cerr := f.Close(); werr == nil {
@@ -439,6 +457,13 @@ func (s *Store) Checkpoint(snapshot []byte, lsn uint64) error {
 	if werr != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("disk: checkpoint: %w", werr)
+	}
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		_ = os.Remove(tmp)
+		return fmt.Errorf("disk: store closed")
 	}
 	if err := os.Rename(tmp, final); err != nil {
 		_ = os.Remove(tmp)

@@ -7,10 +7,13 @@
 // commit throughput: flushes serialize. One fsync is in flight at a time,
 // exactly like a single WAL device, so per-commit flushing collapses under
 // concurrent writers. Group commit (Options.GroupCommit) is the classic
-// fix: concurrent Append callers coalesce into a batch whose leader pays a
+// fix: concurrent Append callers coalesce into a batch whose flusher pays a
 // single fsync for everyone, with tunable max-batch-size and max-wait
-// windows. LSNs are assigned at enqueue time, so per-transaction ordering
-// and the recovery-replay semantics are unchanged.
+// windows. The flusher is one of the batch's own committers, and it flushes
+// that one batch only: the flush role passes to the next batch's oldest
+// member, so no commit waits on a later batch's fsync. LSNs are assigned at
+// enqueue time, so per-transaction ordering and the recovery-replay
+// semantics are unchanged.
 //
 // The log matters to the study twice: Figure 2's DB-table lock is slow
 // precisely because each acquire/release commits a durable transaction, and
@@ -78,7 +81,7 @@ type Record struct {
 var ErrCorrupt = errors.New("wal: corrupt record")
 
 // Crash points checked by the group-commit flusher when Options.Crash is
-// armed (see sim.CrashPlan). The leader catches the crash panic, poisons the
+// armed (see sim.CrashPlan). The flusher catches the crash panic, poisons the
 // log, and hands every batch member the *sim.CrashError as its Append
 // result — process-death semantics where the engine layer decides how the
 // death propagates.
@@ -149,10 +152,11 @@ type Options struct {
 	GroupCommit bool
 	// MaxBatch bounds records per group-commit batch (0 = 64).
 	MaxBatch int
-	// MaxWait is how long a batch leader waits for followers before
-	// flushing a non-full batch. 0 flushes immediately; batching then comes
-	// from backpressure alone (followers queue while the leader flushes),
-	// which keeps uncontended commit latency at exactly one fsync.
+	// MaxWait is how long the committer holding the flush role waits for
+	// followers before flushing a non-full batch. 0 flushes immediately;
+	// batching then comes from backpressure alone (followers queue while
+	// the holder flushes), which keeps uncontended commit latency at
+	// exactly one fsync.
 	MaxWait time.Duration
 	// Crash, when non-nil, arms the wal/groupcommit crash points.
 	Crash *sim.CrashPlan
@@ -166,11 +170,14 @@ func (o Options) maxBatch() int {
 }
 
 // pendingAppend is one parked Append caller: its LSN, its encoded bytes
-// (group commit only), and the channel the caller blocks on.
+// (group commit only), the channel its outcome arrives on, and (group commit
+// only) the channel the flush role is handed to it on. The two are separate
+// so neither send can block: each carries at most one value per member.
 type pendingAppend struct {
 	lsn  uint64
 	enc  []byte
 	done chan error
+	role chan struct{}
 }
 
 // shipBatch is one fsync batch in the ship queue: its byte range in Log.buf,
@@ -206,7 +213,7 @@ type Log struct {
 	buf      []byte
 	nextLSN  uint64
 	pending  []*pendingAppend
-	flushing bool
+	flushing bool  // the flush role is held, or in transit to its next holder
 	crashErr error // poisons the log after a fired crash point
 
 	// The ship stage (only ever non-empty while a shipper is installed):
@@ -217,8 +224,8 @@ type Log struct {
 	inflight []shipBatch
 	shipping bool
 
-	// full is signalled when pending reaches MaxBatch so a waiting leader
-	// can cut its window short.
+	// full is signalled when pending reaches MaxBatch so a role holder
+	// waiting out its window can cut it short.
 	full chan struct{}
 
 	// flushMu serializes the simulated device: one fsync in flight at a
@@ -234,6 +241,11 @@ type Log struct {
 	shipper atomic.Pointer[func(raw []byte, first, last uint64)]
 
 	om atomic.Pointer[walMetrics]
+
+	// parked, when set, runs in a group-commit Append that found a flush in
+	// progress, before it waits for the flush role or its outcome. Test
+	// seam: holding the caller there holds a role handed to it in transit.
+	parked func(lsn uint64)
 }
 
 // New returns an empty log charging the given latency profile per fsync,
@@ -471,8 +483,11 @@ func (l *Log) Append(txnID uint64, ops []Op) (uint64, error) {
 }
 
 // appendGroup enqueues the record and blocks until its batch is flushed.
-// The first caller to find no flush in progress becomes the leader and
-// drains batches (its own included) until the queue is empty.
+// The flush is a role, held by one committer at a time: the caller that
+// finds no flush in progress takes it, and otherwise the caller may be
+// handed it while it waits (see runFlusher). Either way a committer flushes
+// at most one batch, the one holding its own record, and then waits only
+// for its own outcome.
 func (l *Log) appendGroup(txnID uint64, ops []Op) (uint64, error) {
 	l.mu.Lock()
 	if err := l.crashErr; err != nil {
@@ -486,7 +501,7 @@ func (l *Log) appendGroup(txnID uint64, ops []Op) (uint64, error) {
 		return 0, err
 	}
 	l.nextLSN++
-	p := &pendingAppend{lsn: lsn, enc: enc, done: make(chan error, 1)}
+	p := &pendingAppend{lsn: lsn, enc: enc, done: make(chan error, 1), role: make(chan struct{}, 1)}
 	l.pending = append(l.pending, p)
 	if len(l.pending) >= l.opt.maxBatch() {
 		select {
@@ -499,47 +514,67 @@ func (l *Log) appendGroup(txnID uint64, ops []Op) (uint64, error) {
 		l.flushing = true
 	}
 	l.mu.Unlock()
-	if lead {
-		l.runFlusher()
+	if !lead {
+		if l.parked != nil {
+			l.parked(lsn)
+		}
+		select {
+		case <-p.role:
+		case err := <-p.done:
+			// A crash can fail p with the role already in transit to it. The
+			// role is handed under l.mu while p is still pending, before any
+			// poisoning detaches p, so it is visible here if it was sent; it
+			// must then be given up, or no later Append could flush.
+			select {
+			case <-p.role:
+				p.done <- err // the slot just emptied: keep the outcome for below
+			default:
+				return lsn, err
+			}
+		}
 	}
+	l.runFlusher()
 	return lsn, <-p.done
 }
 
-// runFlusher is the batch leader's loop: wait out the batching window, cut
-// a batch, flush it, repeat until the queue is empty (or the log is
-// poisoned by a crash point), then hand leadership back.
+// runFlusher runs one turn of the flush role: wait out the batching window,
+// cut one batch (the holder's own record is always in it: the holder is the
+// oldest pending record), flush it, then hand the role to the oldest record
+// still pending, or give it up if there is none. The next holder cuts
+// everything queued by the time it runs, so batching still comes from
+// backpressure: followers accumulate while the current holder is on the
+// device. A holder that finds the log poisoned, or nothing pending, gives the
+// role up without flushing. A crash fired in the batch poisons the log and
+// fails everything still parked in either stage.
 func (l *Log) runFlusher() {
-	for {
-		l.waitWindow()
-		l.mu.Lock()
-		n := len(l.pending)
-		if max := l.opt.maxBatch(); n > max {
-			n = max
-		}
-		batch := make([]*pendingAppend, n)
-		copy(batch, l.pending[:n])
-		l.pending = append(l.pending[:0], l.pending[n:]...)
+	l.waitWindow()
+	l.mu.Lock()
+	if l.crashErr != nil || len(l.pending) == 0 {
+		l.flushing = false
 		l.mu.Unlock()
-
-		err := l.flushBatch(batch)
-
-		l.mu.Lock()
-		if err != nil {
-			// Crash fired: poison the log and fail everything still parked in
-			// either stage.
-			orphans := l.poisonLocked(err)
-			l.flushing = false
-			l.mu.Unlock()
-			finish(orphans, err)
-			return
-		}
-		if len(l.pending) == 0 {
-			l.flushing = false
-			l.mu.Unlock()
-			return
-		}
-		l.mu.Unlock()
+		return
 	}
+	n := min(len(l.pending), l.opt.maxBatch())
+	batch := make([]*pendingAppend, n)
+	copy(batch, l.pending[:n])
+	l.pending = append(l.pending[:0], l.pending[n:]...)
+	l.mu.Unlock()
+
+	err := l.flushBatch(batch)
+
+	l.mu.Lock()
+	var orphans []*pendingAppend
+	switch {
+	case err != nil:
+		orphans = l.poisonLocked(err)
+		l.flushing = false
+	case len(l.pending) == 0:
+		l.flushing = false
+	default:
+		l.pending[0].role <- struct{}{}
+	}
+	l.mu.Unlock()
+	finish(orphans, err)
 }
 
 // waitWindow lets followers accumulate for up to MaxWait, cut short when
