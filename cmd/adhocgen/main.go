@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"adhoctx/internal/chaos"
-	"adhoctx/internal/faults"
 	"adhoctx/internal/scenario"
 	"adhoctx/internal/sched"
 )
@@ -44,14 +43,12 @@ func main() {
 		seed     = flag.Int64("seed", 1, "first PCT or chaos seed")
 		seeds    = flag.Int("seeds", 400, "PCT seeds per variant, or chaos seeds")
 		replay   = flag.String("replay", "", "replay '<variant>:<schedule-id>' and exit")
-		chaosArg = flag.String("chaos", "", "run a spec's generated mix through the chaos harness")
-		restart  = flag.Bool("restart", false, "with -chaos: restart mode (on-disk WAL, full-stack kills)")
-		clients  = flag.Int("clients", 4, "with -chaos: concurrent workers")
-		ops      = flag.Int("ops", 12, "with -chaos: operations per worker")
+		chaosArg = flag.String("chaos", "", "run a spec's generated mix through the chaos harness (takes adhocchaos's flags)")
 		scale    = flag.Int("scale", 0, "with -chaos: seed-world copies (0 = default)")
 		specFile = flag.String("spec", "", "also load a text-form spec file into the catalog")
 		smoke    = flag.Bool("smoke", false, "CI smoke: expand all, explore buggy variants, 20-seed chaos")
 		verbose  = flag.Bool("v", false, "print clean explorations too")
+		cfg      = chaos.Flags(flag.CommandLine, chaos.InProcess)
 	)
 	flag.Parse()
 
@@ -69,7 +66,7 @@ func main() {
 	case *replay != "":
 		os.Exit(doReplay(specs, *replay))
 	case *chaosArg != "":
-		os.Exit(doChaos(specs, *chaosArg, *restart, *seed, *seeds, *clients, *ops, *scale, *verbose))
+		os.Exit(doChaos(specs, *chaosArg, *cfg, *seed, *seeds, *scale, *verbose))
 	case *explore != "":
 		os.Exit(doExplore(specs, *explore, *strategy, *seed, *seeds, *verbose))
 	case *smoke:
@@ -289,7 +286,9 @@ func doReplay(specs []*scenario.Spec, arg string) int {
 	return 0
 }
 
-func doChaos(specs []*scenario.Spec, name string, restart bool, seed int64, seeds, clients, ops, scale int, verbose bool) int {
+// doChaos sweeps a spec's generated mix through the chaos harness on cfg's
+// topology.
+func doChaos(specs []*scenario.Spec, name string, cfg chaos.Config, seed int64, seeds, scale int, verbose bool) int {
 	var spec *scenario.Spec
 	for _, s := range specs {
 		if s.Name == name {
@@ -305,62 +304,12 @@ func doChaos(specs []*scenario.Spec, name string, restart bool, seed int64, seed
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	mode := ""
-	if restart {
-		mode = " -restart"
-	}
-	start := time.Now()
-	failures := 0
-	for s := seed; s < seed+int64(seeds); s++ {
-		wl.Replay = fmt.Sprintf("go run ./cmd/adhocgen -chaos %s%s -seed %d -seeds 1 -clients %d -ops %d",
-			name, mode, s, clients, ops)
-		summary, failed, err := runChaosSeed(wl, restart, s, clients, ops)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed %d: harness failure: %v\n", s, err)
-			return 2
-		}
-		if failed || verbose {
-			fmt.Print(summary)
-		}
-		if failed {
-			failures++
-		}
-	}
-	fmt.Printf("%s: %d chaos seeds%s in %s: %d failed\n",
-		wl.Name, seeds, mode, time.Since(start).Round(time.Millisecond), failures)
-	if failures > 0 {
-		return 1
-	}
-	return 0
-}
-
-func runChaosSeed(wl *chaos.Workload, restartMode bool, seed int64, clients, ops int) (string, bool, error) {
-	if restartMode {
-		dir, err := os.MkdirTemp("", "adhocgen-chaos-*")
-		if err != nil {
-			return "", false, err
-		}
-		rep, err := chaos.RunRestart(chaos.RestartConfig{
-			Seed: seed, Clients: clients, Ops: ops, Restarts: 1,
-			Plan: faults.DefaultPlan(), Dir: dir, Workload: wl,
-		})
-		if err != nil {
-			return "", false, err
-		}
-		if rep.Failed() {
-			return rep.Summary() + fmt.Sprintf("  data dir kept for inspection: %s\n", dir), true, nil
-		}
-		_ = os.RemoveAll(dir)
-		return rep.Summary(), false, nil
-	}
-	rep, err := chaos.Run(chaos.Config{
-		Seed: seed, Clients: clients, Ops: ops, Crashes: 1,
-		Plan: faults.DefaultPlan(), Workload: wl,
-	})
-	if err != nil {
-		return "", false, err
-	}
-	return rep.Summary(), rep.Failed(), nil
+	cfg.Workload = wl
+	return chaos.Sweep(seed, seeds, func(s int64) chaos.Config {
+		c := cfg
+		c.Seed = s
+		return c
+	}, os.Stdout, verbose)
 }
 
 // doSmoke is the CI entry: expand the whole catalog, DFS every buggy variant
@@ -381,7 +330,8 @@ func doSmoke(specs []*scenario.Spec, seed int64, verbose bool) int {
 			ok = false
 		}
 	}
-	if doChaos(specs, "points-transfer", false, seed, 20, 4, 10, 2, verbose) != 0 {
+	smoke := chaos.Config{Clients: 4, Ops: 10, Crashes: 1, Faults: true}
+	if doChaos(specs, "points-transfer", smoke, seed, 20, 2, verbose) != 0 {
 		ok = false
 	}
 	if !ok {

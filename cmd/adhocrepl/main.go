@@ -8,6 +8,9 @@
 // each partition's committed history stays serializable, balances are
 // conserved, and no lock outlives the run.
 //
+// Exit codes: 0 = every seed passed, 1 = a seed failed its oracles, 2 = the
+// invocation was wrong or the harness itself failed.
+//
 // Usage:
 //
 //	go run ./cmd/adhocrepl -nodes 3 -partitions 4      # one seed, failover demo
@@ -16,75 +19,31 @@
 package main
 
 import (
+	"errors"
 	"flag"
-	"fmt"
 	"os"
-	"time"
 
 	"adhoctx/internal/chaos"
 )
 
-func main() {
-	var (
-		seed       = flag.Int64("seed", 1, "first seed")
-		seeds      = flag.Int("seeds", 1, "number of consecutive seeds to run")
-		partitions = flag.Int("partitions", 2, "partition count")
-		nodes      = flag.Int("nodes", 3, "nodes per partition (1 leader + N-1 followers)")
-		clients    = flag.Int("clients", 4, "concurrent router-driven workers per seed")
-		ops        = flag.Int("ops", 30, "operations per worker (every 4th is a read)")
-		rows       = flag.Int("rows", 4, "accounts per partition")
-		nokill     = flag.Bool("nokill", false, "do not kill any leader (steady-state run)")
-		chaosMode  = flag.Bool("chaos", false, "enable the network fault schedule (drops, torn frames, delays)")
-		group      = flag.Bool("groupcommit", false, "run every node with WAL group commit")
-		fsync      = flag.Duration("fsync", 0, "simulated WAL device flush time")
-		verbose    = flag.Bool("v", false, "print every seed's report, not just failures")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:])) }
 
-	if *nodes < 2 {
-		fmt.Fprintln(os.Stderr, "adhocrepl: -nodes must be at least 2 (leader + 1 follower)")
-		os.Exit(2)
-	}
-	mk := func(s int64) chaos.ReplConfig {
-		cfg := chaos.ReplConfig{
-			Seed:        s,
-			Partitions:  *partitions,
-			Followers:   *nodes - 1,
-			Clients:     *clients,
-			Ops:         *ops,
-			Rows:        *rows,
-			KillLeader:  !*nokill,
-			GroupCommit: *group,
-			Fsync:       *fsync,
+// run parses args, runs the sweep, and returns the exit code.
+func run(args []string) int {
+	fs := flag.NewFlagSet("adhocrepl", flag.ContinueOnError)
+	cfg := chaos.Flags(fs, chaos.Replicated)
+	seed := fs.Int64("seed", 1, "first seed")
+	seeds := fs.Int("seeds", 1, "number of consecutive seeds to run")
+	verbose := fs.Bool("v", false, "print every seed's report, not just failures")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		if *chaosMode {
-			cfg.Plan = chaos.DefaultReplConfig(s).Plan
-		}
-		return cfg
+		return 2
 	}
-
-	start := time.Now()
-	var failures int
-	for s := *seed; s < *seed+int64(*seeds); s++ {
-		rep, err := chaos.ReplRun(mk(s))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "seed %d: harness failure: %v\n", s, err)
-			os.Exit(2)
-		}
-		switch {
-		case rep.Failed():
-			failures++
-			fmt.Print(rep.Summary())
-		case *verbose || *seeds == 1:
-			fmt.Print(rep.Summary())
-		default:
-			fmt.Printf("seed %d: ok (%d transfers, %d markers, killed p%d at %q, promotedLSN=%d, redirects=%d)\n",
-				rep.Seed, rep.Transfers, rep.AckedMarkers, rep.KilledPartition,
-				rep.CrashPoint, rep.PromotedLSN, rep.Redirects)
-		}
-	}
-	fmt.Printf("%d seeds in %s: %d failed\n", *seeds, time.Since(start).Round(time.Millisecond), failures)
-	if failures > 0 {
-		os.Exit(1)
-	}
+	return chaos.Sweep(*seed, *seeds, func(s int64) chaos.Config {
+		c := *cfg
+		c.Seed = s
+		return c
+	}, os.Stdout, *verbose || *seeds == 1)
 }

@@ -1,13 +1,20 @@
 // Package chaos is the oracle-checked fault-injection harness for the
-// networked stack: it runs the paper's Figure-2-style contended transfer
-// workload over real TCP while internal/faults tears connections and
-// internal/sim crash points kill the server mid-COMMIT, then checks the
-// surviving state against three oracles — conflict-serializability of the
-// committed history (internal/analyzer), conservation of the total balance,
-// and zero leaked locks after every client has disconnected.
+// networked stack: it runs a contended workload over real TCP while
+// internal/faults tears connections and internal/sim crash points kill the
+// serving stack mid-COMMIT, then checks what survived against the oracles —
+// every acknowledged commit is in the final state, every era's committed
+// history is conflict-serializable (internal/analyzer), the workload's own
+// invariants hold (the built-in transfer workload conserves the total
+// balance), and no lock outlives its session.
+//
+// One harness serves three topologies (Config.Topology). They share the
+// worker loop, the crash arming and the final check; they differ only in how
+// the stack boots and what the supervisor does when a crash point fires:
+// recover the engine in place (InProcess), kill the whole stack and re-open
+// its data directory (Restart), or promote a follower (Replicated).
 //
 // Everything is derived from one seed: the network fault schedule, each
-// worker's transfer sequence, and the crash points' timing. A failing seed
+// worker's operation sequence, and the crash points' timing. A failing seed
 // is therefore a bug report — Report.Replay holds the command line that
 // reproduces it.
 //
@@ -17,65 +24,76 @@
 package chaos
 
 import (
+	"errors"
+	"flag"
 	"fmt"
-	"math/rand"
+	"io"
+	"strconv"
 	"strings"
-	"sync"
 	"time"
 
-	"adhoctx/internal/analyzer"
-	"adhoctx/internal/client"
-	"adhoctx/internal/engine"
 	"adhoctx/internal/faults"
-	"adhoctx/internal/lockmgr"
 	"adhoctx/internal/obs"
-	"adhoctx/internal/server"
-	"adhoctx/internal/sim"
-	"adhoctx/internal/storage"
-	"adhoctx/internal/wal"
 )
 
-// InitialBalance is each seeded account's starting balance; transfers
-// conserve the total, which is one of the run's oracles.
-const InitialBalance int64 = 100
+// Topology is the shape of the stack under test.
+type Topology int
 
-// Config parameterizes one chaos run. Everything observable is a function
-// of Seed (plus scheduler interleaving — see internal/faults on
+const (
+	// InProcess is one engine served over TCP; a crash is recovered in
+	// place from the engine's WAL and the server restarts on the same port.
+	InProcess Topology = iota
+	// Restart is one engine whose WAL lives in a real data directory; a
+	// crash kills the whole stack — engine, WAL image, locks, server — and
+	// re-opens the directory, exactly like a process restart. The final
+	// state is a cold re-open of the directory with no server at all.
+	Restart
+	// Replicated is Partitions partitions, each a strict semi-sync leader
+	// with Followers followers behind the shard-aware router; a crash kills
+	// one partition's leader and the follower with the highest applied LSN
+	// is promoted.
+	Replicated
+)
+
+// Config parameterizes one seed. Everything observable is a function of
+// Seed plus the scheduler's interleaving (see internal/faults on
 // pseudo-determinism).
 type Config struct {
+	Topology Topology
 	// Seed drives the fault schedule, the workload, and crash timing.
 	Seed int64
-	// Clients is the number of concurrent transfer workers (default 8).
+	// Clients is the number of concurrent workers (default 8; 4 replicated).
 	Clients int
-	// Ops is the number of transfers each worker attempts (default 40).
+	// Ops is the number of operations each worker attempts (default 40; 30
+	// replicated, where every fourth is a bounded-staleness follower read).
 	Ops int
-	// Rows is the number of accounts (default 8; at least 2).
+	// Rows is the number of accounts of the built-in transfer workload, per
+	// partition (default 8; 4 replicated; at least 2).
 	Rows int
-	// Crashes is how many server crash/recover cycles to arm at COMMIT
-	// crash points (default 0 = none).
+	// Partitions and Followers shape the Replicated topology (default 2
+	// each); the other topologies are one partition with no followers.
+	Partitions, Followers int
+	// Crashes is how many crash points to fire, one after another
+	// (Replicated: at most one leader kill).
 	Crashes int
-	// Plan is the network fault schedule. The zero Plan injects nothing;
-	// DefaultConfig uses faults.DefaultPlan.
-	Plan faults.Plan
-	// LockTimeout bounds engine lock waits (default 2s).
-	LockTimeout time.Duration
-	// GroupCommit enables WAL group commit in the engine under test; the
-	// crash rotation then includes the wal/groupcommit points, so batches
-	// die whole mid-flush.
+	// Faults turns on the network fault schedule: faults.DefaultPlan, or a
+	// milder plan on the Replicated topology.
+	Faults bool
+	// GroupCommit enables WAL group commit; on the InProcess topology the
+	// crash rotation then includes the wal/groupcommit points. Restart
+	// always runs group commit on its data directory's own fsync.
 	GroupCommit bool
-	// LockShards partitions the engine's lock manager (0 = lockmgr
-	// default).
-	LockShards int
-	// OCC runs the built-in transfer workload as optimistic transactions:
-	// snapshot reads without locks, commit-time backward validation, client
-	// retries on the typed conflict. The crash rotation then includes the
-	// engine's OCC validate/commit points, so the process also dies inside
-	// the visible-but-not-yet-durable commit window.
-	OCC bool
 	// Fsync is the simulated WAL device flush time. Nonzero makes the
 	// flush a real bottleneck so group-commit batches actually form.
 	Fsync time.Duration
-	// Obs, when non-nil, receives server and fault-injector metrics.
+	// LockShards partitions the engine's lock manager (0 = lockmgr default).
+	LockShards int
+	// OCC runs the built-in transfer workload as optimistic transactions;
+	// the crash rotation then includes the engine's OCC validate/commit
+	// points (InProcess only).
+	OCC bool
+	// Obs, when non-nil, receives server, fault-injector and replication
+	// metrics.
 	Obs *obs.Registry
 	// Workload is the schema + operations + state oracle to run. Nil means
 	// the built-in contended-transfer workload over Rows accounts.
@@ -83,44 +101,148 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
+	clients, ops, rows := 8, 40, 8
+	if c.Topology == Replicated {
+		clients, ops, rows = 4, 30, 4
+		if c.Partitions <= 0 {
+			c.Partitions = 2
+		}
+		if c.Followers <= 0 {
+			c.Followers = 2
+		}
+	} else {
+		c.Partitions, c.Followers = 1, 0
+	}
 	if c.Clients <= 0 {
-		c.Clients = 8
+		c.Clients = clients
 	}
 	if c.Ops <= 0 {
-		c.Ops = 40
+		c.Ops = ops
 	}
 	if c.Rows < 2 {
-		c.Rows = 8
-	}
-	if c.LockTimeout <= 0 {
-		c.LockTimeout = 2 * time.Second
+		c.Rows = rows
 	}
 	return c
 }
 
-// DefaultConfig is the full fault schedule at the given seed — what
-// cmd/adhocchaos runs per seed.
-func DefaultConfig(seed int64) Config {
-	c := Config{Seed: seed, Crashes: 1, Plan: faults.DefaultPlan()}
-	return c.withDefaults()
+// check rejects the combinations a topology cannot run.
+func (c Config) check() error {
+	switch {
+	case c.Topology == Restart && (c.OCC || c.GroupCommit || c.Fsync > 0 || c.LockShards > 0):
+		return errors.New("chaos: the restart topology runs 2PL group commit on its data directory's own fsync with the default lock manager")
+	case c.Topology == Replicated && (c.OCC || c.Workload != nil || c.Crashes > 1):
+		return errors.New("chaos: the replicated topology runs the 2PL transfer workload and kills at most one leader")
+	}
+	return nil
 }
 
-// GroupCommitConfig is DefaultConfig on the PR-4 engine configuration:
-// group commit over a 500µs-flush device with the sharded lock manager, and
-// the wal/groupcommit crash points in the rotation.
-func GroupCommitConfig(seed int64) Config {
-	c := DefaultConfig(seed)
-	c.GroupCommit = true
-	c.Fsync = 500 * time.Microsecond
+// Flags registers on fs the Config flags of the CLI that runs topology t —
+// cmd/adhocrepl's for Replicated, cmd/adhocchaos's otherwise (its -restart
+// picks Restart) — and returns the Config they set. Until fs.Parse it holds
+// that CLI's defaults, which are exactly the flags ReplayCommand leaves out.
+func Flags(fs *flag.FlagSet, t Topology) *Config {
+	c := &Config{Topology: InProcess, Crashes: 1, Faults: true}
+	if t == Replicated {
+		c = &Config{Topology: Replicated, Crashes: 1}
+	}
+	*c = c.withDefaults()
+	fs.IntVar(&c.Clients, "clients", c.Clients, "concurrent workers per seed")
+	fs.IntVar(&c.Ops, "ops", c.Ops, "operations per worker")
+	fs.IntVar(&c.Rows, "rows", c.Rows, "accounts (per partition when replicated)")
+	fs.BoolVar(&c.GroupCommit, "groupcommit", false, "run the engine with WAL group commit")
+	fs.DurationVar(&c.Fsync, "fsync", 0, "simulated WAL device flush time")
+	if t == Replicated {
+		fs.IntVar(&c.Partitions, "partitions", c.Partitions, "partition count")
+		fs.Var(&funcFlag{
+			get: func() string { return strconv.Itoa(c.Followers + 1) },
+			set: func(s string) error {
+				n, err := strconv.Atoi(s)
+				if err == nil && n < 2 {
+					err = errors.New("need at least 2 (leader + 1 follower)")
+				}
+				c.Followers = n - 1
+				return err
+			},
+		}, "nodes", "nodes per partition (1 leader + N-1 followers)")
+		boolFlag(fs, "nokill", "do not kill any leader (steady-state run)",
+			func() bool { return c.Crashes == 0 }, func(b bool) {
+				c.Crashes = 1
+				if b {
+					c.Crashes = 0
+				}
+			})
+		fs.BoolVar(&c.Faults, "chaos", false, "enable the network fault schedule (drops, torn frames, delays)")
+		return c
+	}
+	fs.IntVar(&c.Crashes, "crashes", c.Crashes, "crash/recover cycles per seed")
+	boolFlag(fs, "nofaults", "disable network fault injection (crashes only)",
+		func() bool { return !c.Faults }, func(b bool) { c.Faults = !b })
+	fs.IntVar(&c.LockShards, "shards", 0, "lock manager shard count (0 = default)")
+	fs.BoolVar(&c.OCC, "occ", false, "run transfers as optimistic (OCC) transactions; adds the engine OCC crash points")
+	boolFlag(fs, "restart", "restart topology: on-disk WAL, crashes kill and re-open the whole stack",
+		func() bool { return c.Topology == Restart }, func(b bool) {
+			c.Topology = InProcess
+			if b {
+				c.Topology = Restart
+			}
+		})
 	return c
 }
 
-// OCCConfig is DefaultConfig with the transfer workload in optimistic mode
-// and the engine's OCC crash points in the rotation.
-func OCCConfig(seed int64) Config {
-	c := DefaultConfig(seed)
-	c.OCC = true
-	return c
+// funcFlag is a flag over a derived view of a Config field.
+type funcFlag struct {
+	get    func() string
+	set    func(string) error
+	isBool bool
+}
+
+func (f *funcFlag) String() string {
+	if f.get == nil {
+		return ""
+	}
+	return f.get()
+}
+func (f *funcFlag) Set(s string) error { return f.set(s) }
+func (f *funcFlag) IsBoolFlag() bool   { return f.isBool }
+
+func boolFlag(fs *flag.FlagSet, name, usage string, get func() bool, set func(bool)) {
+	fs.Var(&funcFlag{
+		isBool: true,
+		get:    func() string { return strconv.FormatBool(get()) },
+		set: func(s string) error {
+			b, err := strconv.ParseBool(s)
+			set(b)
+			return err
+		},
+	}, name, usage)
+}
+
+// ReplayCommand renders the command line that reruns cfg: the seed, plus
+// every Config flag whose value differs from the CLI's default.
+func ReplayCommand(cfg Config) string {
+	cmd := "go run ./cmd/adhocchaos"
+	if cfg.Topology == Replicated {
+		cmd = "go run ./cmd/adhocrepl"
+	}
+	if cfg.Workload != nil && cfg.Workload.Replay != "" {
+		cmd = cfg.Workload.Replay
+	}
+	cmd += fmt.Sprintf(" -seed %d -seeds 1", cfg.Seed)
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	*Flags(fs, cfg.Topology) = cfg.withDefaults()
+	fs.VisitAll(func(f *flag.Flag) {
+		v := f.Value.String()
+		switch b, _ := f.Value.(interface{ IsBoolFlag() bool }); {
+		case v == f.DefValue:
+		case b != nil && b.IsBoolFlag() && v == "true":
+			cmd += " -" + f.Name
+		case b != nil && b.IsBoolFlag():
+			cmd += " -" + f.Name + "=" + v
+		default:
+			cmd += " -" + f.Name + " " + v
+		}
+	})
+	return cmd
 }
 
 // Report is the outcome of one seed.
@@ -128,31 +250,42 @@ type Report struct {
 	Seed int64
 	// Workload names the workload that ran.
 	Workload string
-	// Transfers and TransferErrs count worker-level RunTxn outcomes; an
-	// error here is a worker that exhausted its retries, which under heavy
-	// fault schedules is legitimate (the oracles below are what must hold).
-	Transfers, TransferErrs int
-	// Committed is the number of committed transactions in the server-side
+	// Ops and OpErrs count worker-level outcomes; an error is a worker that
+	// exhausted its retries, which under heavy fault schedules is legitimate
+	// (the oracles are what must hold).
+	Ops, OpErrs int
+	// Acked is how many acknowledged commits the marker oracle checked
+	// against the final state.
+	Acked int
+	// Committed is the number of committed transactions across every era's
 	// history (includes duplicates from ambiguous-commit retries).
 	Committed int
-	// Retries is the clients' total backoff-retry count.
+	// Retries is the client's backoff-retry count (the router's redirect
+	// count on the Replicated topology).
 	Retries int64
 	// Faults counts injected network faults by kind.
 	Faults map[faults.Kind]int64
-	// CrashPoints are the server crash points that fired, in order.
+	// CrashPoints are the crash points that fired, in order.
 	CrashPoints []string
-	// Recoveries is the number of successful WAL recoveries.
+	// Recoveries counts completed recoveries: in-place recoveries, restarts,
+	// or failovers.
 	Recoveries int
-	// Observed is the workload oracle's one-line view of the final state
+	// TornBytes totals the torn-tail bytes recovery cut from the data
+	// directory across boots (Restart only).
+	TornBytes int64
+	// Observed is the workload oracle's view of each partition's final state
 	// (the transfer workload reports "sum=<total balance>").
 	Observed string
-	// LeakedLocks is the lock-manager count after all clients disconnected
-	// (oracle: 0).
+	// LeakedLocks totals the locks still held on every node after all
+	// clients disconnected (oracle: 0).
 	LeakedLocks int
 	// Violations lists every oracle violation; empty means the seed passed.
 	Violations []string
 	// Replay is the command line that reproduces this run.
 	Replay string
+	// Dir is the Restart topology's data directory, kept for inspection
+	// only when the seed failed ("" otherwise).
+	Dir string
 	// Elapsed is the wall time of the workload phase.
 	Elapsed time.Duration
 }
@@ -163,353 +296,53 @@ func (r *Report) Failed() bool { return len(r.Violations) > 0 }
 // Summary renders the report as one line per fact.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "seed %d: %d transfers (%d failed), %d committed txns, %d retries, %s\n",
-		r.Seed, r.Transfers, r.TransferErrs, r.Committed, r.Retries, r.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  faults: drop=%d truncate=%d wdelay=%d rdelay=%d; crashes=%v recoveries=%d\n",
+	fmt.Fprintf(&b, "seed %d: %s: %d ops (%d failed), %d acked, %d committed txns, %d retries, %s\n",
+		r.Seed, r.Workload, r.Ops, r.OpErrs, r.Acked, r.Committed, r.Retries, r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "  faults: drop=%d truncate=%d wdelay=%d rdelay=%d; crashes=%v recoveries=%d torn-bytes=%d\n",
 		r.Faults[faults.Drop], r.Faults[faults.Truncate], r.Faults[faults.WriteDelay],
-		r.Faults[faults.ReadDelay], r.CrashPoints, r.Recoveries)
-	if r.Failed() {
-		for _, v := range r.Violations {
-			fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
-		}
-		fmt.Fprintf(&b, "  replay: %s\n", r.Replay)
-	} else {
-		fmt.Fprintf(&b, "  oracles: serializable committed history, %s, leaked locks=0\n", r.Observed)
+		r.Faults[faults.ReadDelay], r.CrashPoints, r.Recoveries, r.TornBytes)
+	if !r.Failed() {
+		fmt.Fprintf(&b, "  oracles: acked ⊆ final state, serializable committed history per era, %s, leaked locks=0\n", r.Observed)
+		return b.String()
+	}
+	for _, v := range r.Violations {
+		fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
+	}
+	fmt.Fprintf(&b, "  replay: %s\n", r.Replay)
+	if r.Dir != "" {
+		fmt.Fprintf(&b, "  data dir kept for inspection: %s\n", r.Dir)
 	}
 	return b.String()
 }
 
-// ReplayCommand renders the command line that reruns cfg.
-func ReplayCommand(cfg Config) string {
-	cfg = cfg.withDefaults()
-	cmd := fmt.Sprintf("go run ./cmd/adhocchaos -seed %d -seeds 1 -clients %d -ops %d -rows %d -crashes %d",
-		cfg.Seed, cfg.Clients, cfg.Ops, cfg.Rows, cfg.Crashes)
-	if cfg.GroupCommit {
-		cmd += " -groupcommit"
-	}
-	if cfg.LockShards > 0 {
-		cmd += fmt.Sprintf(" -shards %d", cfg.LockShards)
-	}
-	if cfg.Fsync > 0 {
-		cmd += fmt.Sprintf(" -fsync %s", cfg.Fsync)
-	}
-	if cfg.OCC {
-		cmd += " -occ"
-	}
-	return cmd
-}
-
-// supervised is the crash/restart supervisor's shared server handle.
-type supervised struct {
-	mu  sync.Mutex
-	srv *server.Server
-}
-
-func (s *supervised) get() *server.Server {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.srv
-}
-
-func (s *supervised) set(srv *server.Server) {
-	s.mu.Lock()
-	s.srv = srv
-	s.mu.Unlock()
-}
-
-// Run executes one seed end to end: seed the accounts, serve them over TCP
-// behind the fault injector, hammer them with concurrent transfer workers
-// while the supervisor crash-kills and recovers the server, then run the
-// oracles. The returned error is reserved for harness breakage (failure to
-// listen, recovery failure); oracle violations land in the Report.
-func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	wl := cfg.Workload
-	if wl == nil {
-		if cfg.OCC {
-			wl = transferOCCWorkload(cfg.Rows)
-		} else {
-			wl = transferWorkload(cfg.Rows)
-		}
-	}
-	rep := &Report{Seed: cfg.Seed, Workload: wl.Name, Replay: ReplayCommand(cfg), Faults: make(map[faults.Kind]int64)}
-	if wl.Replay != "" {
-		rep.Replay = wl.Replay
-	}
-
-	// One plan shared by the server's commit points and (under group
-	// commit) the WAL's flush points: wherever the process dies, the same
-	// supervisor recovers it.
-	plan := &sim.CrashPlan{}
-
-	// MySQL dialect: RepeatableRead plus FOR UPDATE locking reads — the
-	// configuration whose committed histories must be serializable for this
-	// workload, so any cycle the analyzer finds is a real bug.
-	eng := engine.New(engine.Config{
-		Dialect:     engine.MySQL,
-		LockTimeout: cfg.LockTimeout,
-		WALFsync:    sim.Latency{Fsync: cfg.Fsync},
-		GroupCommit: cfg.GroupCommit,
-		LockShards:  cfg.LockShards,
-		Crash:       plan,
-	})
-	for _, sch := range wl.Tables {
-		eng.CreateTable(sch)
-	}
-	seedTxn := eng.Begin(engine.IsolationDefault)
-	if err := wl.Seed(seedTxn); err != nil {
-		return nil, fmt.Errorf("chaos: seed: %w", err)
-	}
-	if err := seedTxn.Commit(); err != nil {
-		return nil, fmt.Errorf("chaos: seed commit: %w", err)
-	}
-
-	// Server-side history capture: installed after seeding so the oracle
-	// sees exactly the workload's transactions.
-	hist := analyzer.NewHistory()
-	eng.SetTracer(hist)
-
-	inj := faults.New(cfg.Seed, cfg.Plan)
-	if cfg.Obs != nil {
-		inj.WireObs(cfg.Obs)
-	}
-
-	// The supervisor's private rng: crash timing must not perturb the
-	// workers' transfer sequences.
-	supRng := rand.New(rand.NewSource(cfg.Seed ^ 0x5DEECE66D))
-	points := []string{server.CrashPointCommitBefore, server.CrashPointCommitAfter}
-	if cfg.GroupCommit {
-		// The WAL flush points only exist on the group-commit path.
-		points = append(points, wal.CrashPointBeforeFsync, wal.CrashPointAfterFsync)
-	}
-	if cfg.OCC {
-		// The OCC points only fire on optimistic commits: engine/occ-commit
-		// kills the process after the write-set is applied in memory but
-		// before the WAL append — the commit was never acked, so recovery
-		// must make it vanish.
-		points = append(points, engine.CrashPointOCCValidate, engine.CrashPointOCCCommit)
-	}
-	armNext := func() {
-		// Fire within the first handful of visits after arming, so every
-		// configured crash actually happens during the run.
-		plan.Arm(points[supRng.Intn(len(points))], 2+supRng.Intn(6))
-	}
-	if cfg.Crashes > 0 {
-		armNext()
-	}
-
-	srvCfg := server.Config{
-		MaxSessions: cfg.Clients + 4,
-		IdleTimeout: 2 * time.Second,
-		WrapConn:    inj.WrapConn,
-		Crash:       plan,
-	}
-	sup := &supervised{}
-	first := server.New(eng, nil, srvCfg)
-	if cfg.Obs != nil {
-		first.WireObs(cfg.Obs)
-	}
-	if err := first.Start(); err != nil {
-		return nil, fmt.Errorf("chaos: listen: %w", err)
-	}
-	addr := first.Addr().String()
-	sup.set(first)
-
-	// Supervisor: on crash, reap the dead server's goroutines, recover the
-	// WAL, and restart on the same address — the ops loop the paper's web
-	// stacks rely on, automated.
-	workDone := make(chan struct{})
-	supDone := make(chan struct{})
-	var supErr error
-	go func() {
-		defer close(supDone)
-		crashed := 0
-		for {
-			cur := sup.get()
-			select {
-			case <-workDone:
-				return
-			case <-cur.Crashed():
-				rep.CrashPoints = append(rep.CrashPoints, cur.CrashPoint())
-				_ = cur.Close()
-				if err := eng.Recover(); err != nil {
-					supErr = fmt.Errorf("chaos: recovery: %w", err)
-					return
-				}
-				rep.Recoveries++
-				crashed++
-				if crashed < cfg.Crashes {
-					armNext()
-				}
-				next := server.New(eng, nil, withAddr(srvCfg, addr))
-				if cfg.Obs != nil {
-					next.WireObs(cfg.Obs)
-				}
-				if err := restart(next); err != nil {
-					supErr = fmt.Errorf("chaos: restart: %w", err)
-					return
-				}
-				sup.set(next)
-			}
-		}
-	}()
-
-	// Pooled client shared by all workers, as a web app shares its
-	// connection pool. RetryConnLost is the paper's blind-retry strategy —
-	// safe here exactly because the workload is self-conserving and the
-	// oracle judges the committed history, not the client's beliefs.
-	cli := client.New(client.Config{
-		Addr:           addr,
-		PoolSize:       cfg.Clients,
-		MaxRetries:     40,
-		BackoffBase:    300 * time.Microsecond,
-		DialTimeout:    time.Second,
-		RequestTimeout: 2 * cfg.LockTimeout,
-		RetryConnLost:  true,
-		Dial:           inj.Dial,
-	})
-
+// Sweep runs n consecutive seeds starting at first, writing one line per
+// passing seed (its Summary when verbose), the Summary of every failing
+// seed, and a closing count to w. It returns the CLI exit code: 0 = every
+// seed passed, 1 = a seed failed its oracles, 2 = the harness failed.
+func Sweep(first int64, n int, mk func(seed int64) Config, w io.Writer, verbose bool) int {
 	start := time.Now()
-	var wg sync.WaitGroup
-	var statsMu sync.Mutex
-	for w := 0; w < cfg.Clients; w++ {
-		wg.Add(1)
-		go func(worker int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + worker))
-			for i := 0; i < cfg.Ops; i++ {
-				// Random row choice means random lock order: the deadlock
-				// recipe, on purpose.
-				err := cli.RunTxnWith(engine.IsolationDefault, client.BeginOpts{OCC: wl.OCC},
-					func(txn *client.Txn) error {
-						return wl.Op(rng, txn)
-					})
-				statsMu.Lock()
-				if err != nil {
-					rep.TransferErrs++
-				} else {
-					rep.Transfers++
-				}
-				statsMu.Unlock()
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	rep.Elapsed = time.Since(start)
-	close(workDone)
-	<-supDone
-	rep.Retries = cli.Retries()
-	_ = cli.Close()
-	if supErr != nil {
-		return nil, supErr
-	}
-
-	// Every client has disconnected; drain the server so each session's
-	// rollback path runs, then interrogate the wreckage.
-	_ = sup.get().Close()
-	for k, n := range inj.Counts() {
-		rep.Faults[k] = n
-	}
-
-	// Oracle 1: no leaked locks. Locks must never outlive their sessions,
-	// crashed or not — the paper's stuck-lock failure class (§4.3).
-	rep.LeakedLocks = waitForZeroLocks(eng.LockManager(), 2*time.Second)
-	if rep.LeakedLocks != 0 {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("%d locks still held after all clients disconnected", rep.LeakedLocks))
-	}
-
-	// Oracle 2: the workload's own state invariants (the transfer workload
-	// checks balance conservation). Its probe transactions take FOR UPDATE
-	// locks, so this doubles as a leaked-exclusive-lock detector: a stuck
-	// lock turns the probe into a timeout.
-	observed, viols := wl.Check(eng)
-	rep.Observed = observed
-	rep.Violations = append(rep.Violations, viols...)
-
-	// Oracle 3: the committed history is conflict-serializable. Aborted and
-	// in-flight transactions are projected out first — under fault
-	// injection, most of the raw history is failed attempts.
-	items := hist.Items()
-	for _, it := range items {
-		if it.Kind == analyzer.OpCommit {
-			rep.Committed++
-		}
-	}
-	if cycle := analyzer.CheckCommitted(items); cycle != nil {
-		rep.Violations = append(rep.Violations,
-			fmt.Sprintf("committed history not serializable: cycle %v", cycle))
-	}
-	return rep, nil
-}
-
-// probeSum sums every balance under FOR UPDATE in a fresh transaction.
-func probeSum(eng *engine.Engine) (int64, error) {
-	txn := eng.Begin(engine.IsolationDefault)
-	defer func() { _ = txn.Rollback() }()
-	rows, err := txn.Select("accounts", storage.All{}, engine.ForUpdate)
-	if err != nil {
-		return 0, err
-	}
-	schema := eng.Schema("accounts")
-	var sum int64
-	for _, row := range rows {
-		bal, _ := row.Get(schema, "bal").(int64)
-		sum += bal
-	}
-	if err := txn.Commit(); err != nil {
-		return 0, err
-	}
-	return sum, nil
-}
-
-// waitForZeroLocks polls the lock manager until it reports no held locks or
-// the deadline passes, returning the final count. Sessions release locks on
-// their way out, so a brief settle window is legitimate; a count that never
-// reaches zero is a leak.
-func waitForZeroLocks(lm *lockmgr.Manager, timeout time.Duration) int {
-	deadline := time.Now().Add(timeout)
-	for {
-		n := lm.HeldCount()
-		if n == 0 || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-func withAddr(cfg server.Config, addr string) server.Config {
-	cfg.Addr = addr
-	return cfg
-}
-
-// restart retries Start briefly: the dead listener's port can take a moment
-// to become bindable again.
-func restart(srv *server.Server) error {
-	var err error
-	for i := 0; i < 50; i++ {
-		if err = srv.Start(); err == nil {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	return err
-}
-
-// RunSeeds runs n consecutive seeds starting at first, returning the
-// reports and the first failing report (nil if all passed).
-func RunSeeds(first int64, n int, mk func(seed int64) Config) ([]*Report, *Report, error) {
-	var reports []*Report
-	var failed *Report
+	failed := 0
 	for s := first; s < first+int64(n); s++ {
 		rep, err := Run(mk(s))
 		if err != nil {
-			return reports, failed, err
+			fmt.Fprintf(w, "seed %d: harness failure: %v\n", s, err)
+			return 2
 		}
-		reports = append(reports, rep)
-		if failed == nil && rep.Failed() {
-			failed = rep
+		switch {
+		case rep.Failed():
+			failed++
+			fmt.Fprint(w, rep.Summary())
+		case verbose:
+			fmt.Fprint(w, rep.Summary())
+		default:
+			fmt.Fprintf(w, "seed %d: ok (%d ops, %d acked, %d committed, faults d/t/wd/rd=%d/%d/%d/%d, crashes=%d)\n",
+				rep.Seed, rep.Ops, rep.Acked, rep.Committed, rep.Faults[faults.Drop], rep.Faults[faults.Truncate],
+				rep.Faults[faults.WriteDelay], rep.Faults[faults.ReadDelay], len(rep.CrashPoints))
 		}
 	}
-	return reports, failed, nil
+	fmt.Fprintf(w, "%d seeds in %s: %d failed\n", n, time.Since(start).Round(time.Millisecond), failed)
+	if failed > 0 {
+		return 1
+	}
+	return 0
 }

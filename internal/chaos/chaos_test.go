@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"strings"
 	"testing"
 
 	"adhoctx/internal/engine"
@@ -9,13 +8,28 @@ import (
 	"adhoctx/internal/obs"
 )
 
-// shortConfig is a CI-sized run: full fault schedule, one crash cycle.
+// shortConfig is a CI-sized in-process run: full fault schedule, one crash
+// cycle.
 func shortConfig(seed int64) Config {
-	cfg := DefaultConfig(seed)
-	cfg.Clients = 4
-	cfg.Ops = 20
-	cfg.Rows = 6
-	return cfg
+	return Config{Seed: seed, Clients: 4, Ops: 20, Rows: 6, Crashes: 1, Faults: true}
+}
+
+// runSeeds runs n consecutive seeds from first and fails the test on a
+// harness error or any oracle violation.
+func runSeeds(t *testing.T, first int64, n int, mk func(seed int64) Config) []*Report {
+	t.Helper()
+	var reports []*Report
+	for s := first; s < first+int64(n); s++ {
+		rep, err := Run(mk(s))
+		if err != nil {
+			t.Fatalf("seed %d: harness: %v", s, err)
+		}
+		if rep.Failed() {
+			t.Fatalf("seed %d violated oracles:\n%s", s, rep.Summary())
+		}
+		reports = append(reports, rep)
+	}
+	return reports
 }
 
 // TestChaosSeedsPass sweeps several seeds of the full fault schedule and
@@ -25,31 +39,25 @@ func TestChaosSeedsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short")
 	}
-	reports, failed, err := RunSeeds(1, 5, shortConfig)
-	if err != nil {
-		t.Fatalf("harness: %v", err)
-	}
-	if len(reports) != 5 {
-		t.Fatalf("got %d reports, want 5", len(reports))
-	}
-	if failed != nil {
-		t.Fatalf("seed %d violated oracles: %v\nreplay: %s",
-			failed.Seed, failed.Violations, failed.Replay)
-	}
+	reports := runSeeds(t, 1, 5, shortConfig)
 	// The sweep must actually have exercised the fault paths, or the pass
 	// is vacuous.
-	var totalFaults, totalCrashes int64
+	var totalFaults, totalCrashes, acked int64
 	for _, r := range reports {
 		for _, n := range r.Faults {
 			totalFaults += n
 		}
 		totalCrashes += int64(len(r.CrashPoints))
+		acked += int64(r.Acked)
 	}
 	if totalFaults == 0 {
 		t.Fatal("no network faults injected across 5 seeds")
 	}
 	if totalCrashes == 0 {
 		t.Fatal("no crash points fired across 5 seeds")
+	}
+	if acked == 0 {
+		t.Fatal("no acknowledged commits; the marker oracle is vacuous")
 	}
 }
 
@@ -59,14 +67,7 @@ func TestChaosSeedsPass(t *testing.T) {
 // manual intervention. Network faults are off so any failed transfer is a
 // recovery bug, not retry exhaustion.
 func TestCrashRecoveryMidCommit(t *testing.T) {
-	cfg := Config{
-		Seed:    7,
-		Clients: 4,
-		Ops:     25,
-		Rows:    6,
-		Crashes: 2,
-		Plan:    faults.Plan{}, // crashes only
-	}
+	cfg := Config{Seed: 7, Clients: 4, Ops: 25, Rows: 6, Crashes: 2}
 	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("harness: %v", err)
@@ -81,52 +82,51 @@ func TestCrashRecoveryMidCommit(t *testing.T) {
 	if rep.Recoveries != len(rep.CrashPoints) {
 		t.Fatalf("recoveries = %d, crashes = %d", rep.Recoveries, len(rep.CrashPoints))
 	}
-	if rep.TransferErrs != 0 {
-		t.Fatalf("%d transfers failed despite no network faults: clients did not ride through recovery", rep.TransferErrs)
+	if rep.OpErrs != 0 {
+		t.Fatalf("%d transfers failed despite no network faults: clients did not ride through recovery", rep.OpErrs)
 	}
-	if rep.Transfers != cfg.Clients*cfg.Ops {
-		t.Fatalf("completed %d transfers, want %d", rep.Transfers, cfg.Clients*cfg.Ops)
+	if rep.Ops != cfg.Clients*cfg.Ops || rep.Acked != rep.Ops {
+		t.Fatalf("completed %d transfers (%d acked), want %d", rep.Ops, rep.Acked, cfg.Clients*cfg.Ops)
 	}
 }
 
-// TestSameSeedSameFaultSchedule pins replayability at the harness level: a
-// rerun of a seed injects the same per-kind fault counts only when the
-// scheduler cooperates, but the crash points — driven entirely by the
-// supervisor's seeded rng — must be identical.
+// TestSameSeedSameFaultSchedule pins replayability at the harness level, in
+// every topology: a rerun of a seed injects the same per-kind network fault
+// counts only when the scheduler cooperates, but the crash points — driven
+// entirely by the supervisor's seeded rng — must be identical.
 func TestSameSeedSameFaultSchedule(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos rerun skipped in -short")
 	}
-	cfg := shortConfig(3)
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.CrashPoints) != len(b.CrashPoints) {
-		t.Fatalf("crash counts differ across reruns: %v vs %v", a.CrashPoints, b.CrashPoints)
-	}
-	for i := range a.CrashPoints {
-		if a.CrashPoints[i] != b.CrashPoints[i] {
-			t.Fatalf("crash schedule differs: %v vs %v", a.CrashPoints, b.CrashPoints)
-		}
-	}
-	if a.Failed() || b.Failed() {
-		t.Fatalf("violations: %v / %v", a.Violations, b.Violations)
-	}
-}
-
-// TestReplayCommandRoundTrips: the printed replay line carries every
-// workload parameter of the failing config.
-func TestReplayCommandRoundTrips(t *testing.T) {
-	cmd := ReplayCommand(Config{Seed: 42, Clients: 3, Ops: 9, Rows: 5, Crashes: 2})
-	for _, want := range []string{"-seed 42", "-clients 3", "-ops 9", "-rows 5", "-crashes 2", "cmd/adhocchaos"} {
-		if !strings.Contains(cmd, want) {
-			t.Fatalf("replay command %q missing %q", cmd, want)
-		}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"in-process", shortConfig(3)},
+		{"restart", Config{Topology: Restart, Seed: 3, Clients: 4, Ops: 12, Rows: 6, Crashes: 1, Faults: true}},
+		{"replicated", Config{Topology: Replicated, Seed: 3, Clients: 3, Ops: 16, Crashes: 1, Faults: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a.Failed() || b.Failed() {
+				t.Fatalf("violations: %v / %v", a.Violations, b.Violations)
+			}
+			if len(a.CrashPoints) == 0 || len(a.CrashPoints) != len(b.CrashPoints) {
+				t.Fatalf("crash counts differ across reruns (or none fired): %v vs %v", a.CrashPoints, b.CrashPoints)
+			}
+			for i := range a.CrashPoints {
+				if a.CrashPoints[i] != b.CrashPoints[i] {
+					t.Fatalf("crash schedule differs: %v vs %v", a.CrashPoints, b.CrashPoints)
+				}
+			}
+		})
 	}
 }
 
@@ -156,32 +156,19 @@ func TestObsWiring(t *testing.T) {
 	}
 }
 
-// shortGroupConfig is the CI-sized slice of the PR-4 configuration: group
-// commit over a real (simulated) flush bottleneck, sharded lock manager,
-// wal crash points in the rotation.
-func shortGroupConfig(seed int64) Config {
-	cfg := GroupCommitConfig(seed)
-	cfg.Clients = 4
-	cfg.Ops = 20
-	cfg.Rows = 6
-	return cfg
-}
-
-// TestChaosGroupCommitSeedsPass sweeps the group-commit + sharded-lockmgr
-// configuration: every oracle must hold while batches are killed mid-flush
-// by the wal/groupcommit crash points.
+// TestChaosGroupCommitSeedsPass sweeps the group-commit configuration over
+// a real (simulated) flush bottleneck with a sharded lock manager: every
+// oracle must hold while batches are killed mid-flush by the
+// wal/groupcommit crash points.
 func TestChaosGroupCommitSeedsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short")
 	}
-	reports, failed, err := RunSeeds(1, 5, shortGroupConfig)
-	if err != nil {
-		t.Fatalf("harness: %v", err)
-	}
-	if failed != nil {
-		t.Fatalf("seed %d violated oracles: %v\nreplay: %s",
-			failed.Seed, failed.Violations, failed.Replay)
-	}
+	reports := runSeeds(t, 1, 5, func(seed int64) Config {
+		cfg := shortConfig(seed)
+		cfg.GroupCommit, cfg.Fsync, cfg.LockShards = true, 500e3, 4
+		return cfg
+	})
 	var crashes int
 	for _, r := range reports {
 		crashes += len(r.CrashPoints)
@@ -191,46 +178,20 @@ func TestChaosGroupCommitSeedsPass(t *testing.T) {
 	}
 }
 
-// TestReplayCommandCarriesEngineConfig: the replay line reproduces the
-// group-commit configuration, not just the workload shape.
-func TestReplayCommandCarriesEngineConfig(t *testing.T) {
-	cmd := ReplayCommand(GroupCommitConfig(9))
-	for _, want := range []string{"-groupcommit", "-fsync 500µs"} {
-		if !strings.Contains(cmd, want) {
-			t.Fatalf("replay command %q missing %q", cmd, want)
-		}
-	}
-}
-
-// shortOCCConfig is the CI-sized optimistic run: full fault schedule, one
-// crash cycle, transfers as engine-OCC transactions.
-func shortOCCConfig(seed int64) Config {
-	cfg := OCCConfig(seed)
-	cfg.Clients = 4
-	cfg.Ops = 15
-	cfg.Rows = 6
-	return cfg
-}
-
-// TestChaosOCCSeedsPass is the PR-10 acceptance sweep: 20 seeds of the
-// transfer workload run as optimistic transactions under the full fault
-// schedule plus crash points — including the engine's OCC validate/commit
-// points, which kill the process inside the visible-but-not-durable commit
-// window. Every seed must satisfy the same oracles as the pessimistic
-// sweep: the committed projection of the history is conflict-serializable,
-// the total balance is conserved, and no locks leak.
+// TestChaosOCCSeedsPass sweeps 20 seeds of the transfer workload run as
+// optimistic transactions under the full fault schedule plus crash points —
+// including the engine's OCC validate/commit points, which kill the process
+// inside the visible-but-not-durable commit window. Every seed must satisfy
+// the same oracles as the pessimistic sweep.
 func TestChaosOCCSeedsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos sweep skipped in -short")
 	}
-	reports, failed, err := RunSeeds(1, 20, shortOCCConfig)
-	if err != nil {
-		t.Fatalf("harness: %v", err)
-	}
-	if failed != nil {
-		t.Fatalf("seed %d violated oracles: %v\nreplay: %s",
-			failed.Seed, failed.Violations, failed.Replay)
-	}
+	reports := runSeeds(t, 1, 20, func(seed int64) Config {
+		cfg := shortConfig(seed)
+		cfg.Ops, cfg.OCC = 15, true
+		return cfg
+	})
 	var totalFaults, totalCrashes, occCrashes int64
 	for _, r := range reports {
 		if r.Workload != "transfer-occ" {
@@ -259,10 +220,20 @@ func TestChaosOCCSeedsPass(t *testing.T) {
 	}
 }
 
-// TestReplayCommandCarriesOCC pins the -occ flag into the replay line.
-func TestReplayCommandCarriesOCC(t *testing.T) {
-	cmd := ReplayCommand(OCCConfig(7))
-	if !strings.Contains(cmd, "-occ") {
-		t.Fatalf("replay command %q missing -occ", cmd)
+// TestConfigCheck: combinations a topology cannot run are harness errors,
+// reported before anything boots.
+func TestConfigCheck(t *testing.T) {
+	for _, cfg := range []Config{
+		{Topology: Restart, OCC: true},
+		{Topology: Restart, GroupCommit: true},
+		{Topology: Restart, Fsync: 1},
+		{Topology: Restart, LockShards: 2},
+		{Topology: Replicated, OCC: true},
+		{Topology: Replicated, Crashes: 2},
+		{Topology: Replicated, Workload: transferWorkload([]int64{1, 2}, false)},
+	} {
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run(%+v) succeeded, want a config error", cfg)
+		}
 	}
 }

@@ -10,24 +10,27 @@ import (
 	"adhoctx/internal/wire"
 )
 
+// initialBalance is each seeded account's starting balance; transfers
+// conserve the total, which is one of the run's oracles.
+const initialBalance int64 = 100
+
 // Workload is a pluggable chaos workload: the schema it runs over, how the
 // tables are seeded, what one client operation does, and what must hold of
 // the surviving state. The harness supplies everything else — TCP serving,
-// fault injection, crash/recovery supervision, and the workload-independent
-// oracles (leaked locks, committed-history serializability, and in restart
-// mode acked ⊆ recovered).
+// fault injection, crash supervision, a txlog marker row in every attempt,
+// and the workload-independent oracles (acked ⊆ final state, leaked locks,
+// committed-history serializability).
 //
-// A nil Config.Workload / RestartConfig.Workload means the built-in
-// contended-transfer workload, unchanged from earlier revisions.
+// A nil Config.Workload means the built-in contended-transfer workload.
 type Workload struct {
 	// Name labels the workload in reports.
 	Name string
 	// Tables are created on every engine the harness boots (including the
-	// restart mode's cold verification engine).
+	// Restart topology's cold verification engine).
 	Tables []*storage.Schema
 	// Seed populates a fresh database, inside one transaction the harness
-	// commits. It runs once per in-process run, and only on the first boot
-	// of a restart-mode data directory.
+	// commits. It runs once per seed: on the Restart topology, only on the
+	// first boot of the data directory.
 	Seed func(txn *engine.Txn) error
 	// Op performs one client operation over the wire. rng is the worker's
 	// private generator — derive every random choice from it so the
@@ -36,13 +39,12 @@ type Workload struct {
 	// re-execute: guard writes inside the transaction, don't accumulate
 	// client-side state.
 	Op func(rng *rand.Rand, txn *client.Txn) error
-	// Check inspects the final state (recovered state, in restart mode) and
-	// returns a one-line summary of what it observed plus any invariant
-	// violations.
+	// Check inspects the final state and returns a one-line summary of what
+	// it observed plus any invariant violations.
 	Check func(eng *engine.Engine) (observed string, violations []string)
-	// Replay, when non-empty, replaces the default replay command in
-	// reports — callers whose workload isn't reachable from adhocchaos
-	// flags point the report at their own command line.
+	// Replay, when non-empty, is the command that selects this workload
+	// (callers whose workload isn't reachable from adhocchaos flags);
+	// ReplayCommand appends the seed and the Config flags to it.
 	Replay string
 	// OCC makes the harness begin every client transaction in optimistic
 	// mode (BeginOpts.OCC): Op's reads must then use LockNone and rely on
@@ -50,38 +52,51 @@ type Workload struct {
 	OCC bool
 }
 
-// transferWorkload is the harness's original workload: contended transfers
-// between rows accounts under FOR UPDATE locks, conserving the total
-// balance.
-func transferWorkload(rows int) *Workload {
+// transferWorkload is the harness's built-in workload: contended transfers
+// between the accounts pks, conserving their total balance. Under 2PL both
+// account reads lock FOR UPDATE; as optimistic transactions (occ) they are
+// plain snapshot reads — under OCC the engine takes no row locks on reads
+// at all — and commit-time backward validation plus the client's
+// CodeOCCConflict retry loop replace the locks. The oracles are the same
+// in either mode.
+func transferWorkload(pks []int64, occ bool) *Workload {
+	name, lock := "transfer", wire.LockForUpdate
+	if occ {
+		name, lock = "transfer-occ", wire.LockNone
+	}
 	return &Workload{
-		Name: "transfer",
+		Name: name,
+		OCC:  occ,
 		Tables: []*storage.Schema{storage.NewSchema("accounts",
 			storage.Column{Name: "bal", Type: storage.TInt},
 		)},
 		Seed: func(txn *engine.Txn) error {
-			for i := 0; i < rows; i++ {
-				if _, err := txn.Insert("accounts", map[string]storage.Value{"bal": InitialBalance}); err != nil {
+			for _, pk := range pks {
+				if _, err := txn.Insert("accounts", map[string]storage.Value{
+					storage.PKColumn: pk, "bal": initialBalance,
+				}); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
+		// Random row choice means random lock order: the deadlock recipe,
+		// on purpose.
 		Op: func(rng *rand.Rand, txn *client.Txn) error {
-			a := 1 + rng.Int63n(int64(rows))
-			b := 1 + rng.Int63n(int64(rows))
+			a := pks[rng.Intn(len(pks))]
+			b := pks[rng.Intn(len(pks))]
 			for b == a {
-				b = 1 + rng.Int63n(int64(rows))
+				b = pks[rng.Intn(len(pks))]
 			}
 			amt := 1 + rng.Int63n(5)
-			return transfer(txn, a, b, amt)
+			return transfer(txn, a, b, amt, lock)
 		},
 		Check: func(eng *engine.Engine) (string, []string) {
 			sum, err := probeSum(eng)
 			if err != nil {
 				return "", []string{fmt.Sprintf("balance probe failed: %v", err)}
 			}
-			if want := int64(rows) * InitialBalance; sum != want {
+			if want := int64(len(pks)) * initialBalance; sum != want {
 				return fmt.Sprintf("sum=%d", sum), []string{
 					fmt.Sprintf("balance sum %d, want %d (lost or duplicated writes)", sum, want)}
 			}
@@ -90,40 +105,13 @@ func transferWorkload(rows int) *Workload {
 	}
 }
 
-// transferOCCWorkload is the same contended-transfer workload run as
-// optimistic transactions: both account reads are plain snapshot reads (no
-// FOR UPDATE — under OCC the engine takes no row locks on reads at all), the
-// increments buffer locally, and commit-time backward validation plus the
-// client's CodeOCCConflict retry loop replace the locks. The oracle set is
-// unchanged: whatever mode, committed histories must serialize and the total
-// balance must be conserved.
-func transferOCCWorkload(rows int) *Workload {
-	wl := transferWorkload(rows)
-	wl.Name = "transfer-occ"
-	wl.OCC = true
-	wl.Op = func(rng *rand.Rand, txn *client.Txn) error {
-		a := 1 + rng.Int63n(int64(rows))
-		b := 1 + rng.Int63n(int64(rows))
-		for b == a {
-			b = 1 + rng.Int63n(int64(rows))
-		}
-		amt := 1 + rng.Int63n(5)
-		return transferOCC(txn, a, b, amt)
-	}
-	return wl
-}
-
-// transferOCC moves amt from a to b on snapshot reads: the reads enter the
-// transaction's read set, so a concurrent commit to either row aborts this
-// one at validation instead of blocking it at a lock.
-func transferOCC(txn *client.Txn, a, b, amt int64) error {
-	for _, id := range []int64{a, b} {
-		rows, err := txn.Select("accounts", storage.ByPK(id), wire.LockNone)
-		if err != nil {
+// transfer moves amt from account a to b, reading both rows first — the
+// paper's canonical read-modify-write critical section, with the lock order
+// left to the caller's rng.
+func transfer(txn *client.Txn, a, b, amt int64, lock wire.Lock) error {
+	for _, pk := range []int64{a, b} {
+		if err := readAccount(txn, pk, lock); err != nil {
 			return err
-		}
-		if len(rows.Rows) != 1 {
-			return fmt.Errorf("chaos: account %d: got %d rows", id, len(rows.Rows))
 		}
 	}
 	if _, err := txn.Update("accounts", storage.ByPK(a),
@@ -135,24 +123,34 @@ func transferOCC(txn *client.Txn, a, b, amt int64) error {
 	return err
 }
 
-// transfer moves amt from account a to b under FOR UPDATE locks, reading
-// both rows first — the paper's canonical read-modify-write critical
-// section, with the lock order left to the caller's rng.
-func transfer(txn *client.Txn, a, b, amt int64) error {
-	for _, id := range []int64{a, b} {
-		rows, err := txn.Select("accounts", storage.ByPK(id), wire.LockForUpdate)
-		if err != nil {
-			return err
-		}
-		if len(rows.Rows) != 1 {
-			return fmt.Errorf("chaos: account %d: got %d rows", id, len(rows.Rows))
-		}
-	}
-	if _, err := txn.Update("accounts", storage.ByPK(a),
-		map[string]storage.Value{"bal": storage.Inc(-amt)}); err != nil {
+// readAccount reads account pk, which must exist.
+func readAccount(txn *client.Txn, pk int64, lock wire.Lock) error {
+	rows, err := txn.Select("accounts", storage.ByPK(pk), lock)
+	if err != nil {
 		return err
 	}
-	_, err := txn.Update("accounts", storage.ByPK(b),
-		map[string]storage.Value{"bal": storage.Inc(amt)})
-	return err
+	if len(rows.Rows) != 1 {
+		return fmt.Errorf("chaos: account %d: got %d rows", pk, len(rows.Rows))
+	}
+	return nil
+}
+
+// probeSum sums every balance under FOR UPDATE in a fresh transaction.
+func probeSum(eng *engine.Engine) (int64, error) {
+	txn := eng.Begin(engine.IsolationDefault)
+	defer func() { _ = txn.Rollback() }()
+	rows, err := txn.Select("accounts", storage.All{}, engine.ForUpdate)
+	if err != nil {
+		return 0, err
+	}
+	schema := eng.Schema("accounts")
+	var sum int64
+	for _, row := range rows {
+		bal, _ := row.Get(schema, "bal").(int64)
+		sum += bal
+	}
+	if err := txn.Commit(); err != nil {
+		return 0, err
+	}
+	return sum, nil
 }

@@ -22,10 +22,11 @@
 // repl_degraded_total) instead of wedging commits forever, mirroring
 // rpl_semi_sync_master_timeout; leave it zero to hold the strict guarantee.
 //
-// Failover: the supervisor (see chaos.ReplRun) promotes the follower with
-// the highest applied LSN. Promotion bumps the epoch; frames from a deposed
-// leader's lower epoch are rejected by followers, and subscribers claiming a
-// higher epoch than a leader's own tell that leader it has been superseded.
+// Failover: the supervisor (chaos.Run on its Replicated topology) promotes
+// the follower with the highest applied LSN. Promotion bumps the epoch;
+// frames from a deposed leader's lower epoch are rejected by followers, and
+// subscribers claiming a higher epoch than a leader's own tell that leader
+// it has been superseded.
 package repl
 
 import (

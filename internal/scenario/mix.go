@@ -55,6 +55,7 @@ func Mix(s *Spec, scale int) (*chaos.Workload, error) {
 	w := &chaos.Workload{
 		Name:   "genmix/" + s.Name,
 		Tables: tables,
+		Replay: fmt.Sprintf("go run ./cmd/adhocgen -chaos %s -scale %d", s.Name, scale),
 		Seed: func(txn *engine.Txn) error {
 			for copy := 0; copy < scale; copy++ {
 				for _, e := range s.Entities {

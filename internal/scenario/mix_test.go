@@ -6,7 +6,6 @@ import (
 
 	"adhoctx/internal/chaos"
 	"adhoctx/internal/engine"
-	"adhoctx/internal/faults"
 )
 
 // TestMixSeedSatisfiesInvariants builds every builtin's mix workload and
@@ -65,7 +64,7 @@ func TestMixUnderChaos(t *testing.T) {
 				Clients:  4,
 				Ops:      12,
 				Crashes:  1,
-				Plan:     faults.DefaultPlan(),
+				Faults:   true,
 				Workload: wl,
 			})
 			if err != nil {
@@ -78,7 +77,7 @@ func TestMixUnderChaos(t *testing.T) {
 				t.Errorf("report workload %q, want %q", rep.Workload, wl.Name)
 			}
 			t.Logf("%d ops ok (%d failed), %d committed, observed: %s",
-				rep.Transfers, rep.TransferErrs, rep.Committed, rep.Observed)
+				rep.Ops, rep.OpErrs, rep.Committed, rep.Observed)
 		})
 	}
 }
@@ -98,12 +97,12 @@ func TestMixRestartChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := chaos.RunRestart(chaos.RestartConfig{
+	rep, err := chaos.Run(chaos.Config{
+		Topology: chaos.Restart,
 		Seed:     3,
 		Clients:  3,
 		Ops:      10,
-		Restarts: 1,
-		Dir:      t.TempDir(),
+		Crashes:  1,
 		Workload: wl,
 	})
 	if err != nil {
@@ -112,5 +111,5 @@ func TestMixRestartChaos(t *testing.T) {
 	if rep.Failed() {
 		t.Fatalf("oracle violations:\n%s", rep.Summary())
 	}
-	t.Logf("boots=%d acked=%d observed: %s", rep.Boots, rep.AckedMarkers, rep.Observed)
+	t.Logf("restarts=%d acked=%d observed: %s", rep.Recoveries, rep.Acked, rep.Observed)
 }
