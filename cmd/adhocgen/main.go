@@ -43,12 +43,12 @@ func main() {
 		seed     = flag.Int64("seed", 1, "first PCT or chaos seed")
 		seeds    = flag.Int("seeds", 400, "PCT seeds per variant, or chaos seeds")
 		replay   = flag.String("replay", "", "replay '<variant>:<schedule-id>' and exit")
-		chaosArg = flag.String("chaos", "", "run a spec's generated mix through the chaos harness (takes adhocchaos's flags)")
+		chaosArg = flag.String("chaos", "", "run a spec's generated mix through the chaos harness")
 		scale    = flag.Int("scale", 0, "with -chaos: seed-world copies (0 = default)")
 		specFile = flag.String("spec", "", "also load a text-form spec file into the catalog")
 		smoke    = flag.Bool("smoke", false, "CI smoke: expand all, explore buggy variants, 20-seed chaos")
 		verbose  = flag.Bool("v", false, "print clean explorations too")
-		cfg      = chaos.Flags(flag.CommandLine, chaos.InProcess)
+		cfg      = chaosFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -66,7 +66,7 @@ func main() {
 	case *replay != "":
 		os.Exit(doReplay(specs, *replay))
 	case *chaosArg != "":
-		os.Exit(doChaos(specs, *chaosArg, *cfg, *seed, *seeds, *scale, *verbose))
+		os.Exit(doChaos(specs, *chaosArg, cfg(), *seed, *seeds, *scale, *verbose))
 	case *explore != "":
 		os.Exit(doExplore(specs, *explore, *strategy, *seed, *seeds, *verbose))
 	case *smoke:
@@ -74,6 +74,21 @@ func main() {
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+}
+
+// chaosFlags registers -chaos's topology and load flags on fs and returns
+// the Config they select: one crash per seed under the default fault plan.
+func chaosFlags(fs *flag.FlagSet) func() chaos.Config {
+	restart := fs.Bool("restart", false, "with -chaos: restart topology (on-disk WAL, full-stack kills)")
+	clients := fs.Int("clients", 4, "with -chaos: concurrent workers")
+	ops := fs.Int("ops", 12, "with -chaos: operations per worker")
+	return func() chaos.Config {
+		c := chaos.Config{Clients: *clients, Ops: *ops, Crashes: 1, Faults: true}
+		if *restart {
+			c.Topology = chaos.Restart
+		}
+		return c
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 	"time"
@@ -132,6 +133,10 @@ func (c Config) check() error {
 		return errors.New("chaos: the restart topology runs 2PL group commit on its data directory's own fsync with the default lock manager")
 	case c.Topology == Replicated && (c.OCC || c.Workload != nil || c.Crashes > 1):
 		return errors.New("chaos: the replicated topology runs the 2PL transfer workload and kills at most one leader")
+	case c.Workload != nil && c.OCC != c.Workload.OCC:
+		// The workload, not OCC, picks the transaction mode; OCC arms the
+		// OCC crash points, which fire only if the transactions are OCC.
+		return errors.New("chaos: OCC must match the workload's transaction mode")
 	}
 	return nil
 }
@@ -218,13 +223,16 @@ func boolFlag(fs *flag.FlagSet, name, usage string, get func() bool, set func(bo
 }
 
 // ReplayCommand renders the command line that reruns cfg: the seed, plus
-// every Config flag whose value differs from the CLI's default.
+// every Config flag whose value differs from the CLI's default. A workload's
+// own CLI (Workload.Replay) may default the load differently, so its line
+// always carries -clients and -ops.
 func ReplayCommand(cfg Config) string {
 	cmd := "go run ./cmd/adhocchaos"
 	if cfg.Topology == Replicated {
 		cmd = "go run ./cmd/adhocrepl"
 	}
-	if cfg.Workload != nil && cfg.Workload.Replay != "" {
+	ownCLI := cfg.Workload != nil && cfg.Workload.Replay != ""
+	if ownCLI {
 		cmd = cfg.Workload.Replay
 	}
 	cmd += fmt.Sprintf(" -seed %d -seeds 1", cfg.Seed)
@@ -233,7 +241,7 @@ func ReplayCommand(cfg Config) string {
 	fs.VisitAll(func(f *flag.Flag) {
 		v := f.Value.String()
 		switch b, _ := f.Value.(interface{ IsBoolFlag() bool }); {
-		case v == f.DefValue:
+		case v == f.DefValue && !(ownCLI && (f.Name == "clients" || f.Name == "ops")):
 		case b != nil && b.IsBoolFlag() && v == "true":
 			cmd += " -" + f.Name
 		case b != nil && b.IsBoolFlag():
@@ -317,15 +325,16 @@ func (r *Report) Summary() string {
 
 // Sweep runs n consecutive seeds starting at first, writing one line per
 // passing seed (its Summary when verbose), the Summary of every failing
-// seed, and a closing count to w. It returns the CLI exit code: 0 = every
-// seed passed, 1 = a seed failed its oracles, 2 = the harness failed.
+// seed, and a closing count to w; a harness failure goes to stderr. It
+// returns the CLI exit code: 0 = every seed passed, 1 = a seed failed its
+// oracles, 2 = the harness failed.
 func Sweep(first int64, n int, mk func(seed int64) Config, w io.Writer, verbose bool) int {
 	start := time.Now()
 	failed := 0
 	for s := first; s < first+int64(n); s++ {
 		rep, err := Run(mk(s))
 		if err != nil {
-			fmt.Fprintf(w, "seed %d: harness failure: %v\n", s, err)
+			fmt.Fprintf(os.Stderr, "seed %d: harness failure: %v\n", s, err)
 			return 2
 		}
 		switch {

@@ -231,6 +231,8 @@ func TestConfigCheck(t *testing.T) {
 		{Topology: Replicated, OCC: true},
 		{Topology: Replicated, Crashes: 2},
 		{Topology: Replicated, Workload: transferWorkload([]int64{1, 2}, false)},
+		{OCC: true, Workload: transferWorkload([]int64{1, 2}, false)},
+		{Workload: transferWorkload([]int64{1, 2}, true)},
 	} {
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("Run(%+v) succeeded, want a config error", cfg)

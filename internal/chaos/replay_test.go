@@ -1,18 +1,15 @@
-package chaos_test
+package chaos
 
 import (
 	"flag"
 	"strings"
 	"testing"
 	"time"
-
-	"adhoctx/internal/chaos"
-	"adhoctx/internal/scenario"
 )
 
 // parseReplay parses a printed replay line through the flag set of the CLI
 // it names, the way that CLI's run does, and returns the Config it rebuilds.
-func parseReplay(t *testing.T, line string) chaos.Config {
+func parseReplay(t *testing.T, line string) Config {
 	t.Helper()
 	args := strings.Fields(line)
 	if len(args) < 3 || args[0] != "go" || args[1] != "run" {
@@ -20,18 +17,12 @@ func parseReplay(t *testing.T, line string) chaos.Config {
 	}
 	cli := strings.TrimPrefix(args[2], "./cmd/")
 	fs := flag.NewFlagSet(cli, flag.ContinueOnError)
-	var cfg *chaos.Config
-	var spec *string
-	var scale *int
+	var cfg *Config
 	switch cli {
 	case "adhocchaos":
-		cfg = chaos.Flags(fs, chaos.InProcess)
+		cfg = Flags(fs, InProcess)
 	case "adhocrepl":
-		cfg = chaos.Flags(fs, chaos.Replicated)
-	case "adhocgen":
-		cfg = chaos.Flags(fs, chaos.InProcess)
-		spec = fs.String("chaos", "", "")
-		scale = fs.Int("scale", 0, "")
+		cfg = Flags(fs, Replicated)
 	default:
 		t.Fatalf("replay line names unknown CLI %q", cli)
 	}
@@ -44,71 +35,46 @@ func parseReplay(t *testing.T, line string) chaos.Config {
 		t.Fatalf("replay line %q: -seeds %d, stray args %q", line, *seeds, fs.Args())
 	}
 	cfg.Seed = *seed
-	if spec != nil {
-		s, ok := scenario.Builtin(*spec)
-		if !ok {
-			t.Fatalf("replay line %q names unknown spec %q", line, *spec)
-		}
-		wl, err := scenario.Mix(s, *scale)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workload = wl
-	}
 	return *cfg
 }
 
 // TestReplayCommandRoundTrips: the printed replay line, parsed by the CLI it
 // names, rebuilds exactly the Config that ran — in every topology and with
-// every flag that differs from that CLI's default.
+// every flag that differs from that CLI's default. cmd/adhocgen's
+// TestChaosReplayRoundTrips covers the lines of generated mixes.
 func TestReplayCommandRoundTrips(t *testing.T) {
-	s, _ := scenario.Builtin("points-transfer")
-	mix, err := scenario.Mix(s, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
-		cfg  chaos.Config
+		cfg  Config
 		want []string // substrings the line must carry
 	}{
-		{"in-process", chaos.Config{Seed: 42, Clients: 3, Ops: 9, Rows: 5, Crashes: 2, Faults: true},
+		{"in-process", Config{Seed: 42, Clients: 3, Ops: 9, Rows: 5, Crashes: 2, Faults: true},
 			[]string{"./cmd/adhocchaos", "-seed 42", "-clients 3", "-ops 9", "-rows 5", "-crashes 2"}},
-		{"restart", chaos.Config{Topology: chaos.Restart, Seed: 42, Crashes: 3, Faults: true},
+		{"restart", Config{Topology: Restart, Seed: 42, Crashes: 3, Faults: true},
 			[]string{"-restart", "-seed 42", "-crashes 3"}},
-		{"replicated", chaos.Config{Topology: chaos.Replicated, Seed: 7, Clients: 3, Ops: 16, Crashes: 1, Faults: true},
+		{"replicated", Config{Topology: Replicated, Seed: 7, Clients: 3, Ops: 16, Crashes: 1, Faults: true},
 			[]string{"./cmd/adhocrepl", "-chaos", "-clients 3", "-ops 16"}},
-		{"nofaults", chaos.Config{Seed: 5, Crashes: 2},
+		{"nofaults", Config{Seed: 5, Crashes: 2},
 			[]string{"-nofaults", "-crashes 2"}},
-		{"restart-nofaults", chaos.Config{Topology: chaos.Restart, Seed: 5, Crashes: 1},
+		{"restart-nofaults", Config{Topology: Restart, Seed: 5, Crashes: 1},
 			[]string{"-restart", "-nofaults"}},
-		{"groupcommit-fsync", chaos.Config{Seed: 9, Crashes: 1, Faults: true, GroupCommit: true, Fsync: 500 * time.Microsecond, LockShards: 4},
+		{"groupcommit-fsync", Config{Seed: 9, Crashes: 1, Faults: true, GroupCommit: true, Fsync: 500 * time.Microsecond, LockShards: 4},
 			[]string{"-groupcommit", "-fsync 500µs", "-shards 4"}},
-		{"occ", chaos.Config{Seed: 7, Crashes: 1, Faults: true, OCC: true},
+		{"occ", Config{Seed: 7, Crashes: 1, Faults: true, OCC: true},
 			[]string{"-occ"}},
-		{"replicated-groupcommit-fsync", chaos.Config{Topology: chaos.Replicated, Seed: 3, Crashes: 1, GroupCommit: true, Fsync: 500 * time.Microsecond},
+		{"replicated-groupcommit-fsync", Config{Topology: Replicated, Seed: 3, Crashes: 1, GroupCommit: true, Fsync: 500 * time.Microsecond},
 			[]string{"-groupcommit", "-fsync 500µs"}},
-		{"nokill", chaos.Config{Topology: chaos.Replicated, Seed: 2, Partitions: 3, Followers: 1, Rows: 6},
+		{"nokill", Config{Topology: Replicated, Seed: 2, Partitions: 3, Followers: 1, Rows: 6},
 			[]string{"-nokill", "-partitions 3", "-nodes 2", "-rows 6"}},
-		{"scale", chaos.Config{Seed: 4, Clients: 4, Ops: 10, Crashes: 1, Faults: true, Workload: mix},
-			[]string{"./cmd/adhocgen -chaos points-transfer -scale 2", "-clients 4", "-ops 10"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			line := chaos.ReplayCommand(tc.cfg)
+			line := ReplayCommand(tc.cfg)
 			for _, w := range tc.want {
 				if !strings.Contains(line, w) {
 					t.Errorf("replay line %q lacks %q", line, w)
 				}
 			}
-			got, want := parseReplay(t, line), chaos.WithDefaults(tc.cfg)
-			if want.Workload != nil {
-				if got.Workload.Name != want.Workload.Name || got.Workload.Replay != want.Workload.Replay {
-					t.Errorf("replay line %q rebuilds workload %q (%q), want %q (%q)", line,
-						got.Workload.Name, got.Workload.Replay, want.Workload.Name, want.Workload.Replay)
-				}
-				got.Workload, want.Workload = nil, nil
-			}
-			if got != want {
+			if got, want := parseReplay(t, line), tc.cfg.withDefaults(); got != want {
 				t.Errorf("replay line %q rebuilds\n  %+v\nwant\n  %+v", line, got, want)
 			}
 		})

@@ -44,7 +44,8 @@ type Workload struct {
 	Check func(eng *engine.Engine) (observed string, violations []string)
 	// Replay, when non-empty, is the command that selects this workload
 	// (callers whose workload isn't reachable from adhocchaos flags);
-	// ReplayCommand appends the seed and the Config flags to it.
+	// ReplayCommand appends the seed, -clients, -ops and any other Config
+	// flag that differs from adhocchaos's default to it.
 	Replay string
 	// OCC makes the harness begin every client transaction in optimistic
 	// mode (BeginOpts.OCC): Op's reads must then use LockNone and rely on
