@@ -287,6 +287,11 @@ type Report struct {
 	// LeakedLocks totals the locks still held on every node after all
 	// clients disconnected (oracle: 0).
 	LeakedLocks int
+	// LeakedSnapshots totals the snapshots still registered on every node
+	// after all clients disconnected (oracle: 0): each one would pin that
+	// engine's snapshot watermark, and with it every row version the
+	// watermark keeps, for good.
+	LeakedSnapshots int
 	// Violations lists every oracle violation; empty means the seed passed.
 	Violations []string
 	// Replay is the command line that reproduces this run.

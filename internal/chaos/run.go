@@ -14,7 +14,6 @@ import (
 	"adhoctx/internal/disk"
 	"adhoctx/internal/engine"
 	"adhoctx/internal/faults"
-	"adhoctx/internal/lockmgr"
 	"adhoctx/internal/proxy"
 	"adhoctx/internal/repl"
 	"adhoctx/internal/server"
@@ -602,16 +601,22 @@ func (h *harness) check() {
 		}
 	}
 
-	// Zero leaked locks on every node, dead or alive: locks must never
-	// outlive their sessions, crashed or not — the paper's stuck-lock
-	// failure class (§4.3). And every era's committed history is
+	// Zero leaked locks and zero leaked snapshots on every node, dead or
+	// alive: neither may outlive its session, crashed or not — a lock is the
+	// paper's stuck-lock failure class (§4.3), a snapshot pins the engine's
+	// version watermark. And every era's committed history is
 	// conflict-serializable: aborted and in-flight transactions are
 	// projected out first, and eras are checked separately because
 	// transaction IDs restart with each engine.
 	for i, n := range h.nodes {
-		if leaked := waitForZeroLocks(n.eng.LockManager(), 2*time.Second); leaked != 0 {
+		if leaked := waitForZero(n.eng.LockManager().HeldCount, 2*time.Second); leaked != 0 {
 			rep.LeakedLocks += leaked
 			violate("node %d: %d locks still held after all clients disconnected", i, leaked)
+		}
+		snapshots := func() int { registered, _, _ := n.eng.SnapshotWatermark(); return registered }
+		if leaked := waitForZero(snapshots, 2*time.Second); leaked != 0 {
+			rep.LeakedSnapshots += leaked
+			violate("node %d: %d snapshots still registered after all clients disconnected", i, leaked)
 		}
 		if n.hist == nil {
 			continue
@@ -700,14 +705,14 @@ func probeRow(eng *engine.Engine, table string, pk int64) (storage.Row, error) {
 	return txn.SelectOne(table, storage.ByPK(pk))
 }
 
-// waitForZeroLocks polls the lock manager until it reports no held locks or
-// the deadline passes, returning the final count. Sessions release locks on
-// their way out, so a brief settle window is legitimate; a count that never
+// waitForZero polls count until it reports zero or the deadline passes,
+// returning the final count. Sessions release their locks and snapshots on
+// the way out, so a brief settle window is legitimate; a count that never
 // reaches zero is a leak.
-func waitForZeroLocks(lm *lockmgr.Manager, timeout time.Duration) int {
+func waitForZero(count func() int, timeout time.Duration) int {
 	deadline := time.Now().Add(timeout)
 	for {
-		n := lm.HeldCount()
+		n := count()
 		if n == 0 || time.Now().After(deadline) {
 			return n
 		}

@@ -59,6 +59,14 @@ type Engine struct {
 	// csn is the last issued commit sequence number; snapshots read it
 	// under mu.
 	csn uint64
+	// pins is the snapshot registry, oldest first: each transaction's first
+	// snapshot joins the last pin under the shared latch hold that reads
+	// csn, and leaves it when the transaction ends. Only the exclusive latch
+	// changes the slice (watermark, Crash); counts move atomically.
+	pins []*snapPin
+	// oldVersions counts the versions beyond each chain's newest: what the
+	// engine_mvcc_old_versions gauge shows. Guarded by mu (exclusive).
+	oldVersions int64
 	// recent commit footprints with csn > oldest active snapshot (pruned
 	// lazily); used by Postgres Serializable.
 	recent []commitFootprint
@@ -88,6 +96,7 @@ func New(cfg Config) *Engine {
 		cfg:    cfg,
 		tables: make(map[string]*table),
 		occLog: bocc.NewLog(0),
+		pins:   []*snapPin{{}},
 		lm:     lockmgr.NewSharded(cfg.LockTimeout, cfg.LockShards),
 		// The WAL owns the durable-commit cost: flushes serialize like a
 		// single log device, and group commit (when enabled) coalesces
@@ -163,11 +172,68 @@ func (e *Engine) table(name string) (*table, error) {
 	return t, nil
 }
 
-// currentCSN reads the commit clock under mu.
-func (e *Engine) currentCSN() uint64 {
+// snapPin counts the live transactions registered while it was the last
+// pin: every snapshot they take reads at csn or later.
+type snapPin struct {
+	csn uint64
+	n   atomic.Int64
+}
+
+// pinSnapshot reads the commit clock for a snapshot of t. The first call
+// also registers t on the last pin, under the same latch hold, so the pin
+// bounds every AsOf t reads at; the registration lasts until t ends (unpin).
+func (e *Engine) pinSnapshot(t *Txn) uint64 {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
+	if t.pin == nil {
+		t.pin = e.pins[len(e.pins)-1]
+		t.pin.n.Add(1)
+	}
 	return e.csn
+}
+
+// watermark is the oldest CSN a live snapshot can read at — the oldest
+// registered pin's, or the current CSN when no transaction is registered —
+// and sets the lag gauge. It also retires the pins nobody holds and starts a
+// pin at the current CSN for later registrations. Caller holds e.mu
+// exclusively, so no registration runs concurrently; an unpin that does can
+// only raise the true watermark, so the one returned is never too high.
+func (e *Engine) watermark() uint64 {
+	for len(e.pins) > 1 && e.pins[0].n.Load() == 0 {
+		e.pins[0] = nil
+		e.pins = e.pins[1:]
+	}
+	if last := e.pins[len(e.pins)-1]; last.csn != e.csn {
+		if last.n.Load() == 0 {
+			last.csn = e.csn
+		} else {
+			e.pins = append(e.pins, &snapPin{csn: e.csn})
+		}
+	}
+	w := e.csn
+	if p := e.pins[0]; p.n.Load() > 0 {
+		w = p.csn
+	}
+	e.metrics.Load().watermarkLag.Set(int64(e.csn - w))
+	return w
+}
+
+// SnapshotWatermark reports the snapshot registry: how many live
+// transactions hold a snapshot, the watermark (the oldest CSN one of them can
+// read at, or the current CSN when none does) and the current CSN. A
+// transaction that is neither committed nor rolled back holds its snapshot,
+// and the watermark, forever.
+func (e *Engine) SnapshotWatermark() (registered int, watermark, csn uint64) {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	watermark = e.csn
+	for i := len(e.pins) - 1; i >= 0; i-- {
+		if n := e.pins[i].n.Load(); n > 0 {
+			registered += int(n)
+			watermark = e.pins[i].csn
+		}
+	}
+	return registered, watermark, e.csn
 }
 
 // Begin starts a transaction at the given isolation level
@@ -219,6 +285,10 @@ func (e *Engine) Crash() {
 		t.autoInc = 0
 	}
 	e.recent = nil
+	// Every snapshot died with the tables: transactions still holding one
+	// unpin a retired pin, which nothing reads.
+	e.pins = []*snapPin{{csn: e.csn}}
+	e.countOldVersions(-e.oldVersions)
 	// The OCC validation log dies with the volatile state: every live
 	// optimistic transaction is poisoned, so nothing can validate against
 	// pre-crash history; post-recovery commits rebuild it from empty.
@@ -263,29 +333,22 @@ func (e *Engine) Recover() error {
 // advances the commit clock — the single replay primitive shared by crash
 // recovery, replicated apply, and checkpoint load. Caller holds e.mu.
 func (e *Engine) applyRecordLocked(rec wal.Record) error {
+	if rec.LSN > e.csn {
+		e.csn = rec.LSN
+	}
+	w := e.watermark()
 	for _, op := range rec.Ops {
 		t, ok := e.tables[op.Table]
 		if !ok {
 			return fmt.Errorf("engine: replay references unknown table %q", op.Table)
 		}
-		switch op.Kind {
-		case wal.OpInsert, wal.OpUpdate:
-			e.applyRedoWrite(t, op.PK, op.Row, rec.TxnID, rec.LSN)
-		case wal.OpDelete:
-			if ch, ok := t.rows[op.PK]; ok {
-				old := ch.Head()
-				if old != nil && old.Row != nil {
-					e.dropIndexEntries(t, old.Row, op.PK)
-				}
-			}
-			delete(t.rows, op.PK)
-		}
+		e.applyRedoWrite(t, op, rec.TxnID, rec.LSN, w)
 	}
-	if rec.LSN > e.csn {
-		e.csn = rec.LSN
-	}
-	// Recovered transaction IDs must stay retired: a new transaction that
-	// reused one would mistake the recovered version for its own write.
+	// Recovered transaction IDs stay retired, so an ID names one
+	// transaction in the log, the traces and the lock manager. (Visibility
+	// does not depend on it: a reader sees its own writes only while they
+	// are uncommitted, and a follower's readers draw IDs the leader may
+	// use later.)
 	for {
 		cur := e.nextTxn.Load()
 		if rec.TxnID <= cur || e.nextTxn.CompareAndSwap(cur, rec.TxnID) {
@@ -295,18 +358,85 @@ func (e *Engine) applyRecordLocked(rec wal.Record) error {
 	return nil
 }
 
-func (e *Engine) applyRedoWrite(t *table, pk int64, row storage.Row, txnID, lsn uint64) {
-	if ch, ok := t.rows[pk]; ok {
-		old := ch.Head()
-		if old != nil && old.Row != nil {
-			e.dropIndexEntries(t, old.Row, pk)
+// applyRedoWrite puts one replayed write on its row's chain as a version (or
+// tombstone) committed at lsn, then prunes the chain to watermark w, the way
+// commitApply treats a local commit: snapshots older than the record keep
+// reading the row as it was.
+func (e *Engine) applyRedoWrite(t *table, op wal.Op, txnID, lsn, w uint64) {
+	ch, ok := t.rows[op.PK]
+	var row storage.Row
+	switch {
+	case op.Kind != wal.OpDelete:
+		row = op.Row.Clone()
+		if !ok {
+			ch = &mvcc.Chain{}
+			t.rows[op.PK] = ch
+		}
+		e.addIndexEntries(t, row, op.PK)
+		if op.PK > t.autoInc {
+			t.autoInc = op.PK
+		}
+	case !ok:
+		return // a delete of a row this state never held
+	default:
+		// As for a local delete (commitApply), the dead row's index entries
+		// go at once.
+		if cur := ch.LatestCommitted(); cur != nil && !cur.Deleted {
+			e.dropIndexEntries(t, cur.Row, op.PK)
 		}
 	}
-	t.rows[pk] = mvcc.NewChain(row.Clone(), txnID, lsn)
-	e.addIndexEntries(t, row, pk)
-	if pk > t.autoInc {
-		t.autoInc = pk
+	if ch.Prepend(row, row == nil, txnID).Prev != nil {
+		e.countOldVersions(1)
 	}
+	ch.Commit(txnID, lsn)
+	e.prune(t, op.PK, ch, w)
+}
+
+// prune shortens pk's chain ch to what snapshots at watermark w or later can
+// read (mvcc.Chain.Prune), drops the index entries only the unlinked versions
+// carried, and unlinks from the table a chain left holding only a committed
+// tombstone: for every live snapshot the row is gone. A chain that is no
+// longer the table's (it died with a crash) is left alone. Caller holds e.mu
+// exclusively.
+func (e *Engine) prune(t *table, pk int64, ch *mvcc.Chain, w uint64) {
+	if t.rows[pk] != ch {
+		return
+	}
+	var n int64
+	for v := ch.Prune(w); v != nil; v = v.Prev {
+		n++
+		if v.Row != nil {
+			e.dropUncarried(t, pk, ch, v.Row)
+		}
+	}
+	if n != 0 {
+		e.countOldVersions(-n)
+	}
+	if h := ch.Head(); h.Prev == nil && h.Deleted && h.CSN != 0 {
+		delete(t.rows, pk)
+	}
+}
+
+// dropUncarried removes pk's index entries for row's keys that no version
+// left on ch carries. Caller holds e.mu exclusively.
+func (e *Engine) dropUncarried(t *table, pk int64, ch *mvcc.Chain, row storage.Row) {
+	for col, ix := range t.indexes {
+		key := row.Get(t.schema, col)
+		carried := false
+		for v := ch.Head(); v != nil && !carried; v = v.Prev {
+			carried = v.Row != nil && storage.Equal(v.Row.Get(t.schema, col), key)
+		}
+		if !carried {
+			ix.Remove(key, pk)
+		}
+	}
+}
+
+// countOldVersions moves the count of versions beyond each chain's newest.
+// Caller holds e.mu exclusively.
+func (e *Engine) countOldVersions(n int64) {
+	e.oldVersions += n
+	e.metrics.Load().oldVersions.Add(n)
 }
 
 func (e *Engine) addIndexEntries(t *table, row storage.Row, pk int64) {

@@ -47,12 +47,17 @@ var counterNames = [numCounters]string{
 // engineMetrics is the engine's instrument set. Each event has exactly one
 // counter, bumped at one place and read by both Engine.Stats and the
 // registry. The counters exist from New — private to the engine until WireObs
-// hands it a registry's — while the histograms stay nil, and time.Now
-// unpaid, until then.
+// hands it a registry's — while the histograms and gauges stay nil, and
+// time.Now unpaid, until then.
 type engineMetrics struct {
 	c             [numCounters]*obs.Counter
 	stmtSeconds   *obs.Histogram
 	commitSeconds *obs.Histogram
+	// oldVersions totals the versions beyond each row's newest (summed over
+	// the engines sharing a registry); watermarkLag is the current CSN minus
+	// the snapshot watermark at the last commit or replayed record.
+	oldVersions  *obs.Gauge
+	watermarkLag *obs.Gauge
 }
 
 // newEngineMetrics resolves the instruments from reg; a nil reg yields
@@ -61,6 +66,8 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 	m := &engineMetrics{
 		stmtSeconds:   reg.Histogram("engine_statement_seconds"),
 		commitSeconds: reg.Histogram("engine_commit_seconds"),
+		oldVersions:   reg.Gauge("engine_mvcc_old_versions"),
+		watermarkLag:  reg.Gauge("engine_snapshot_watermark_lag"),
 	}
 	for i, name := range counterNames {
 		if reg == nil {
@@ -103,7 +110,8 @@ func (o *obsTracer) Trace(ev Event) {
 // event counters move onto the registry's series, carrying what they have
 // counted so far, so Stats stays monotone and the series start from the
 // engine's whole life; statement and commit latencies start feeding
-// histograms; and a span-tracking tracer is chained in front of any tracer
+// histograms; the MVCC gauges start from the engine's chains; and a
+// span-tracking tracer is chained in front of any tracer
 // already installed. Engines wired to one registry share its series, and
 // their Stats read the shared totals. Wire before starting load: an event
 // counted while the counters are being moved can land on the retired one. A
@@ -113,7 +121,13 @@ func (e *Engine) WireObs(reg *obs.Registry) {
 		return
 	}
 	old, m := e.metrics.Load(), newEngineMetrics(reg)
+	e.mu.Lock()
 	e.metrics.Store(m)
+	if m.oldVersions != old.oldVersions {
+		old.oldVersions.Add(-e.oldVersions)
+		m.oldVersions.Add(e.oldVersions)
+	}
+	e.mu.Unlock()
 	for i, c := range m.c {
 		if c != old.c[i] {
 			c.Add(old.c[i].Value())

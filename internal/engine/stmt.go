@@ -415,8 +415,10 @@ func (t *Txn) install(tb *table, pk int64, old, row storage.Row) {
 		ch = &mvcc.Chain{}
 		tb.rows[pk] = ch
 	}
-	ch.Prepend(row, row == nil, t.id)
-	u := undoEntry{t: tb, pk: pk, chain: ch, inserted: !existed}
+	if ch.Prepend(row, row == nil, t.id).Prev != nil {
+		t.e.countOldVersions(1)
+	}
+	u := undoEntry{t: tb, pk: pk, chain: ch}
 	op := wal.Op{Kind: wal.OpUpdate, Table: tb.schema.Table, PK: pk}
 	switch {
 	case row == nil:

@@ -48,7 +48,6 @@ type undoEntry struct {
 	pk       int64
 	chain    *mvcc.Chain
 	addedIdx []idxEntry
-	inserted bool
 	// delRow is the before-image of a DELETE. When the delete commits, the
 	// row's index entries are dropped so dead keys do not accumulate in
 	// the indexes (the chain itself stays for older snapshots).
@@ -86,6 +85,9 @@ type Txn struct {
 	snap      mvcc.Snapshot
 	snapValid bool
 	startCSN  uint64
+	// pin registers the transaction's first snapshot with the engine's
+	// watermark until the transaction ends; nil before its first snapshot.
+	pin *snapPin
 
 	writes     []wal.Op
 	undo       []undoEntry
@@ -149,10 +151,10 @@ func (t *Txn) startStatement() error {
 // isolation level says about snapshot lifetime.
 func (t *Txn) snapshot() mvcc.Snapshot {
 	if t.iso == ReadCommitted && t.mode != ModeOCC {
-		return mvcc.Snapshot{AsOf: t.e.currentCSN(), Self: t.id}
+		return mvcc.Snapshot{AsOf: t.e.pinSnapshot(t), Self: t.id}
 	}
 	if !t.snapValid {
-		t.snap = mvcc.Snapshot{AsOf: t.e.currentCSN(), Self: t.id}
+		t.snap = mvcc.Snapshot{AsOf: t.e.pinSnapshot(t), Self: t.id}
 		t.startCSN = t.snap.AsOf
 		t.snapValid = true
 	}
@@ -271,11 +273,21 @@ func (t *Txn) Commit() error {
 
 // commitApply makes the transaction's installed writes — its undo list,
 // whichever mode put them there — visible at the next commit sequence
-// number, and tells the two validators about them. Caller holds e.mu
-// exclusively.
+// number, prunes each written chain to the snapshot watermark, and tells the
+// two validators about the writes. A transaction that wrote nothing takes no
+// CSN: the clock advances only with commits that make versions, so on a
+// follower, where replicated records commit at their LSN, local readers'
+// commits cannot run it past the log. Caller holds e.mu exclusively.
 func (t *Txn) commitApply() {
 	e := t.e
+	// The committer reads nothing more, so its own snapshot must not hold
+	// back the prune of the chains it wrote.
+	t.unpin()
+	if len(t.undo) == 0 {
+		return
+	}
 	e.csn++
+	w := e.watermark()
 	ws := bocc.WriteSet{CSN: e.csn, Rows: make([]bocc.RowID, 0, len(t.undo))}
 	for i := range t.undo {
 		u := &t.undo[i]
@@ -290,6 +302,7 @@ func (t *Txn) commitApply() {
 			// quadratically.
 			e.dropIndexEntries(u.t, u.delRow, u.pk)
 		}
+		e.prune(u.t, u.pk, u.chain, w)
 		ws.Rows = append(ws.Rows, bocc.RowID{Table: u.t.schema.Table, PK: u.pk})
 	}
 	// Postgres Serializable readers check commit footprints (write pages are
@@ -331,6 +344,7 @@ func (t *Txn) commitAppend() {
 func (t *Txn) commitDone(commitStart time.Time) {
 	e := t.e
 	t.done = true
+	t.unpin()
 	e.count(cCommits)
 	if t.mode == ModeOCC {
 		e.count(cOCCCommits)
@@ -387,23 +401,37 @@ func (t *Txn) rollbackState() {
 	e.mu.Unlock()
 	e.lm.ReleaseAll(t.owner)
 	t.done = true
+	t.unpin()
 	e.count(cRollbacks)
 	e.emit(t, EvRollback, "", 0, nil)
+}
+
+// unpin ends the transaction's snapshot registration, if it took one.
+func (t *Txn) unpin() {
+	if t.pin != nil {
+		t.pin.n.Add(-1)
+		t.pin = nil
+	}
 }
 
 // undoTo reverses undo entries down to the given length. Caller holds e.mu.
 func (t *Txn) undoTo(n int) {
 	for i := len(t.undo) - 1; i >= n; i-- {
 		u := t.undo[i]
-		empty := u.chain.RollbackOne(t.id)
+		if u.t.rows[u.pk] != u.chain {
+			// The chain died with a crash; the tables and indexes now
+			// hold recovered state that this transaction never wrote.
+			continue
+		}
+		h := u.chain.Head()
+		if u.chain.RollbackOne(t.id) {
+			// A rolled-back insert unlinks the row entirely.
+			delete(u.t.rows, u.pk)
+		} else if u.chain.Head() != h {
+			t.e.countOldVersions(-1)
+		}
 		for _, ie := range u.addedIdx {
 			u.t.indexes[ie.col].Remove(ie.key, u.pk)
-		}
-		if empty || u.inserted {
-			// A rolled-back insert unlinks the row entirely.
-			if u.t.rows[u.pk] == u.chain && u.chain.Head() == nil {
-				delete(u.t.rows, u.pk)
-			}
 		}
 	}
 	t.undo = t.undo[:n]

@@ -5,6 +5,15 @@
 // different snapshot lifetimes and write-conflict policies (see
 // internal/engine).
 //
+// A chain holds, newest first, the uncommitted versions of at most one
+// transaction (the row's X-lock holder) above committed versions in commit
+// order. A version reaches a chain one way, Prepend, and leaves it one way:
+// Prune, given a watermark no live snapshot reads below, unlinks every
+// committed version older than the one a snapshot at the watermark resolves
+// to (Rollback and RollbackOne undo an uncommitted version). Own-write
+// visibility covers uncommitted versions only: once committed, a version is
+// visible by its CSN alone, whatever transaction ID a reader carries.
+//
 // Chains are not internally synchronised; the engine serialises chain access
 // under its store mutex.
 package mvcc
@@ -34,19 +43,14 @@ type Version struct {
 type Snapshot struct {
 	// AsOf is the newest commit sequence number visible to the snapshot.
 	AsOf uint64
-	// Self is the reading transaction's ID; its own writes are visible.
+	// Self is the reading transaction's ID; its own uncommitted writes are
+	// visible.
 	Self uint64
 }
 
 // Chain is one row's version history, newest first.
 type Chain struct {
 	head *Version
-}
-
-// NewChain returns a chain whose first version was written by txnID and is
-// already committed at csn.
-func NewChain(row storage.Row, txnID, csn uint64) *Chain {
-	return &Chain{head: &Version{Row: row, TxnID: txnID, CSN: csn}}
 }
 
 // Head returns the newest version (committed or not), or nil on an empty
@@ -89,10 +93,10 @@ func (c *Chain) VisibleVersion(snap Snapshot) *Version {
 }
 
 func (v *Version) visibleTo(snap Snapshot) bool {
-	if v.TxnID == snap.Self {
-		return true
+	if v.CSN == 0 {
+		return v.TxnID == snap.Self
 	}
-	return v.CSN != 0 && v.CSN <= snap.AsOf
+	return v.CSN <= snap.AsOf
 }
 
 // LatestCommitted returns the newest committed version, or nil.
@@ -136,12 +140,29 @@ func (c *Chain) RollbackOne(txnID uint64) (empty bool) {
 }
 
 // ConflictsWith reports whether a write by a transaction holding snap would
-// violate first-committer-wins: some other transaction committed a newer
-// version after the snapshot was taken. PostgreSQL's Repeatable Read aborts
-// such writers with a serialization failure (§3.1.1).
+// violate first-committer-wins: another transaction committed a newer version
+// after the snapshot was taken (a live transaction has no committed version
+// of its own). PostgreSQL's Repeatable Read aborts such writers with a
+// serialization failure (§3.1.1).
 func (c *Chain) ConflictsWith(snap Snapshot) bool {
 	latest := c.LatestCommitted()
-	return latest != nil && latest.CSN > snap.AsOf && latest.TxnID != snap.Self
+	return latest != nil && latest.CSN > snap.AsOf
+}
+
+// Prune unlinks the versions no snapshot reading at watermark or later can
+// reach and returns them, newest first and linked through Prev (nil when
+// nothing was unlinked). Walking from the head it keeps every uncommitted
+// version, every committed version above the watermark, and the first
+// committed version at or below it — the one a snapshot at the watermark
+// resolves to — and cuts the chain after that one.
+func (c *Chain) Prune(watermark uint64) (unlinked *Version) {
+	for v := c.head; v != nil; v = v.Prev {
+		if v.CSN != 0 && v.CSN <= watermark {
+			unlinked, v.Prev = v.Prev, nil
+			return unlinked
+		}
+	}
+	return nil
 }
 
 // Depth returns the number of versions in the chain (diagnostics).

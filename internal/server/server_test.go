@@ -460,6 +460,35 @@ func TestDeadClientReleasesLocks(t *testing.T) {
 	}
 }
 
+// TestDeadClientReleasesSnapshot: a session whose client disconnects
+// mid-transaction gives back the transaction's snapshot as well as its
+// locks, so the engine's snapshot watermark returns to the current CSN.
+func TestDeadClientReleasesSnapshot(t *testing.T) {
+	srv, _ := newTestServer(t, Config{IdleTimeout: 30 * time.Second})
+
+	dying := dialRaw(t, srv)
+	rawRoundTrip(t, dying, &wire.Request{
+		Op: wire.OpSelect, Table: "skus", Begin: true, Iso: uint8(engine.RepeatableRead),
+		Pred: storage.Eq{Col: "id", Val: int64(1)},
+	})
+	if n, _, _ := srv.eng.SnapshotWatermark(); n != 1 {
+		t.Fatalf("%d snapshots registered mid-transaction, want 1", n)
+	}
+	_ = dying.Close()
+
+	deadline := time.Now().Add(3 * time.Second)
+	for {
+		n, w, csn := srv.eng.SnapshotWatermark()
+		if n == 0 && w == csn {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d snapshots registered, watermark %d at CSN %d, after the client died", n, w, csn)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // ---- raw wire helpers (for sessions the pooled client can't model:
 // zombies, crashes, admission probes) ----
 
