@@ -49,7 +49,7 @@ func main() {
 	rows := flag.Int("rows", 16, "lock_rows rows to seed")
 	metrics := flag.Bool("metrics", false, "dump the obs registry on shutdown")
 	dataDir := flag.String("data", "", "data directory for a durable on-disk WAL (empty = in-memory simulated device)")
-	segSize := flag.Int64("segsize", 1<<20, "WAL segment rotation threshold in bytes (with -data)")
+	segSize := flag.Int64("segsize", 1<<20, "WAL segment size in bytes: each segment is preallocated to it and rotated when full (with -data)")
 	ckptEvery := flag.Duration("checkpoint-every", 10*time.Second, "background checkpoint interval (with -data)")
 	group := flag.Bool("groupcommit", true, "coalesce concurrent commits into shared-fsync WAL batches (with -data)")
 	flag.Parse()

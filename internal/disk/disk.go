@@ -12,6 +12,16 @@
 // returns, no acknowledged commit is ever behind the truncation point:
 // acked ⊆ recovered holds at the file layer by construction.
 //
+// Segments are preallocated: a fresh segment is extended to
+// Options.SegmentSize before its header is written, so a commit's write()
+// overwrites zeros inside the file and its fsync never has to journal a new
+// file size. The zero-filled remainder is part of the format: a segment
+// whose bytes after its last valid frame are all zero ends cleanly, in any
+// position, and only a non-zero byte past the valid prefix is a torn tail
+// (final segment) or corruption (any other). Reopening the final segment
+// cuts it back to its valid prefix and re-zeroes the remainder, so leftover
+// torn bytes never sit behind new frames.
+//
 // Checkpoints bound recovery time and disk growth: the engine's committed
 // projection is serialized (as ordinary WAL insert records), written to a
 // temp file, fsynced, atomically renamed, and only then are fully-covered
@@ -48,9 +58,11 @@ type File interface {
 
 // Options configures a Store.
 type Options struct {
-	// SegmentSize is the rotation threshold: once the active segment reaches
-	// it, the next flush opens a fresh segment. Batches never split across
-	// segments, so segments exceed the threshold by at most one batch.
+	// SegmentSize is the rotation threshold and the preallocated size of
+	// every segment file: a fresh segment is created at this size, zero
+	// filled, and frames overwrite the zeros. Once the frames reach it, the
+	// next flush opens a fresh segment. Batches never split across
+	// segments, so a segment exceeds the threshold by at most one batch.
 	// 0 means 1 MiB.
 	SegmentSize int64
 	// WrapFile, when non-nil, wraps every newly opened or reopened segment
@@ -95,7 +107,8 @@ type Recovered struct {
 	// LastLSN is the highest recovered LSN (checkpoint or tail).
 	LastLSN uint64
 	// TruncatedTail is how many torn bytes recovery cut from the final
-	// segment (0 on a clean shutdown).
+	// segment: the bytes after the valid prefix up to the last non-zero
+	// one (0 on a clean shutdown, whose remainder is all zero).
 	TruncatedTail int64
 }
 
@@ -113,7 +126,7 @@ type Store struct {
 	mu      sync.Mutex
 	segs    []segment // sorted by first LSN; last entry is the active segment
 	cur     File      // active segment handle, nil until the first flush
-	curSize int64     // bytes in the active segment (header + frames)
+	curSize int64     // bytes written to the active segment (header + frames)
 
 	// pending is staged by Append and made durable by the next Sync —
 	// the page-cache analogue: a crash here loses it whole.
@@ -136,9 +149,12 @@ type Store struct {
 
 // Open opens (or creates) a data directory and recovers its state: newest
 // valid checkpoint, then every segment frame past it, truncating a torn tail
-// on the final segment. A bad frame in any earlier segment — which no torn
-// tail can explain — fails recovery with ErrCorrupt rather than silently
-// dropping synced records.
+// on the final segment. A zero remainder after a segment's frames is its
+// clean end; a non-zero byte after the valid prefix of any earlier segment —
+// which no torn tail can explain — fails recovery with ErrCorrupt rather
+// than silently dropping synced records. A newest segment that is empty or
+// all zero lost its header to the crash, so it holds no acknowledged frame:
+// Open removes it.
 func Open(dir string, opt Options) (*Store, *Recovered, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("disk: %w", err)
@@ -166,7 +182,10 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 		break
 	}
 
-	segs := segmentsAsc(dir, names)
+	segs, err := s.dropBlankNewest(segmentsAsc(dir, names))
+	if err != nil {
+		return nil, nil, err
+	}
 	// Resume an interrupted prune: a segment whose successor starts at or
 	// below the checkpoint LSN is fully covered by the checkpoint.
 	segs, err = s.pruneCovered(segs, rec.CheckpointLSN)
@@ -175,6 +194,7 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 	}
 
 	prevLSN := uint64(0)
+	finalValid := int64(0) // end of the final segment's valid prefix
 	for i, seg := range segs {
 		data, err := os.ReadFile(seg.path)
 		if err != nil {
@@ -197,20 +217,18 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if valid < len(body) {
+		if torn := tornLen(body[valid:]); torn > 0 {
 			if i != len(segs)-1 {
 				return nil, nil, fmt.Errorf("%w: bad frame at %d in non-final segment %s",
 					ErrCorrupt, headerSize+valid, filepath.Base(seg.path))
 			}
 			// Torn tail: the crash cut the last write() short of its fsync,
-			// so nothing past the cut was ever acknowledged. Truncate at the
-			// first bad frame — never past a synced LSN, because syncs only
-			// cover whole frames.
-			rec.TruncatedTail = int64(len(body) - valid)
-			if err := os.Truncate(seg.path, int64(headerSize+valid)); err != nil {
-				return nil, nil, fmt.Errorf("disk: truncating torn tail: %w", err)
-			}
+			// so nothing past the cut was ever acknowledged. The reopen
+			// below truncates at the first bad frame — never past a synced
+			// LSN, because syncs only cover whole frames.
+			rec.TruncatedTail = int64(torn)
 		}
+		finalValid = int64(headerSize + valid)
 		s.segs = append(s.segs, segment{path: seg.path, first: seg.first})
 	}
 	rec.LastLSN = prevLSN
@@ -219,22 +237,41 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 	}
 	s.syncedLSN = rec.LastLSN
 
-	// Reopen the final segment for appending, past the valid prefix.
 	if n := len(s.segs); n > 0 {
-		path := s.segs[n-1].path
-		f, err := os.OpenFile(path, os.O_WRONLY, 0)
-		if err != nil {
-			return nil, nil, fmt.Errorf("disk: %w", err)
+		if err := s.reopenFinal(s.segs[n-1].path, finalValid); err != nil {
+			return nil, nil, err
 		}
-		size, err := f.Seek(0, io.SeekEnd)
-		if err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("disk: %w", err)
-		}
-		s.cur = opt.wrap(f)
-		s.curSize = size
 	}
 	return s, rec, nil
+}
+
+// reopenFinal reopens the final segment for appending at the end of its
+// valid prefix. The file is cut back to that point and extended again, so
+// every byte past it is zero — torn bytes longer than the next frame would
+// otherwise stay behind it and fail recovery once the segment is no longer
+// the last — and fsynced before the first append.
+func (s *Store) reopenFinal(path string, valid int64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		return fmt.Errorf("disk: %w", err)
+	}
+	err = f.Truncate(valid)
+	if err == nil {
+		err = f.Truncate(max(valid, s.opt.segmentSize()))
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		_, err = f.Seek(valid, io.SeekStart)
+	}
+	if err != nil {
+		_ = f.Close()
+		return fmt.Errorf("disk: reopening segment: %w", err)
+	}
+	s.cur = s.opt.wrap(f)
+	s.curSize = valid
+	return nil
 }
 
 // cleanDir lists dir, removing leftover temp files from an interrupted
@@ -283,6 +320,29 @@ func segmentsAsc(dir string, names []string) []segment {
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].first < segs[j].first })
 	return segs
+}
+
+// dropBlankNewest removes the newest segment when it is empty or all zero:
+// the crash came before its header reached the disk, and the header is
+// written before any frame and synced by that frame's fsync, so the file
+// holds no acknowledged frame. Its removal also frees the name for the
+// segment the next flush creates.
+func (s *Store) dropBlankNewest(segs []segment) ([]segment, error) {
+	if len(segs) == 0 {
+		return segs, nil
+	}
+	last := segs[len(segs)-1]
+	data, err := os.ReadFile(last.path)
+	if err != nil {
+		return nil, fmt.Errorf("disk: %w", err)
+	}
+	if tornLen(data) > 0 {
+		return segs, nil
+	}
+	if err := os.Remove(last.path); err != nil {
+		return nil, fmt.Errorf("disk: removing blank segment: %w", err)
+	}
+	return segs[:len(segs)-1], s.syncDir()
 }
 
 // pruneCovered deletes every segment fully covered by the checkpoint at
@@ -362,7 +422,8 @@ func (s *Store) Sync() error {
 }
 
 // rotateLocked closes the active segment (already synced at rest) and opens
-// a fresh one named after the first staged LSN. Caller holds s.mu.
+// a fresh one named after the first staged LSN, preallocated to the segment
+// size before its header is written. Caller holds s.mu.
 func (s *Store) rotateLocked() error {
 	if s.cur != nil {
 		if err := s.cur.Close(); err != nil {
@@ -378,6 +439,10 @@ func (s *Store) rotateLocked() error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("disk: creating segment: %w", err)
+	}
+	if err := f.Truncate(s.opt.segmentSize()); err != nil {
+		_ = f.Close()
+		return fmt.Errorf("disk: preallocating segment: %w", err)
 	}
 	s.cur = s.opt.wrap(f)
 	n, err := s.cur.Write(appendHeader(nil, segMagic))

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -299,8 +300,11 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("recovery over torn tail failed: %v", err)
 	}
 	wantLSNs(t, rec.Tail, 1, 2, 3)
-	if rec.TruncatedTail != 7 {
-		t.Fatalf("TruncatedTail = %d, want 7", rec.TruncatedTail)
+	// The 7 torn bytes are frame 4's length prefix and the first 3 bytes of
+	// its little-endian LSN, "04 00 00": in a zero-filled segment the torn
+	// tail ends at the last non-zero byte, so 5 of them count.
+	if rec.TruncatedTail != 5 {
+		t.Fatalf("TruncatedTail = %d, want 5", rec.TruncatedTail)
 	}
 
 	// And the truncated segment accepts appends again.
@@ -526,5 +530,167 @@ func TestStoreAsWALDevice(t *testing.T) {
 	}
 	if rec.LastLSN != l.DurableLSN() {
 		t.Fatalf("recovered LastLSN %d != durable LSN %d", rec.LastLSN, l.DurableLSN())
+	}
+}
+
+// segImage is one segment file as a crash may leave it: named after first,
+// holding data.
+type segImage struct {
+	first uint64
+	data  []byte
+}
+
+// preallocated builds a segment image the way the store lays it out: the
+// header, then parts, then zeros up to size.
+func preallocated(size int, parts ...[]byte) []byte {
+	b := appendHeader(nil, segMagic)
+	for _, p := range parts {
+		b = append(b, p...)
+	}
+	return append(b, make([]byte, max(0, size-len(b)))...)
+}
+
+// TestPreallocatedCrashStates lists the states a crash can leave a
+// preallocated segment in, and recovers from each. Every row writes a
+// directory, opens it, and checks the recovered LSNs, the torn-byte count
+// and the error; a row that opens then appends until the store rotates,
+// re-opens, and expects its LSNs plus the appended ones, with nothing torn.
+func TestPreallocatedCrashStates(t *testing.T) {
+	f := func(lsn uint64) []byte { return frame(t, lsn) }
+	flen := len(f(1))
+	// Rotation threshold for the append phase: a segment holding two
+	// frames is full, so a reopened segment with one frame takes exactly
+	// one more before the store rotates.
+	segSize := int64(headerSize + 2*flen)
+	const pad = 512 // size of the crashed store's preallocated segments
+	nonZeroAfterZeros := preallocated(pad, f(1))
+	nonZeroAfterZeros[pad-1] = 0x01
+	garbage := bytes.Repeat([]byte{0xab}, 4*flen)
+
+	tests := []struct {
+		name    string
+		segs    []segImage
+		want    []uint64
+		torn    int64
+		wantErr error
+	}{
+		{
+			name: "frames then zeros, final segment",
+			segs: []segImage{{1, preallocated(pad, f(1), f(2))}},
+			want: []uint64{1, 2},
+		},
+		{
+			name: "frames then zeros, non-final segment",
+			segs: []segImage{
+				{1, preallocated(pad, f(1), f(2))},
+				{3, preallocated(pad, f(3))},
+			},
+			want: []uint64{1, 2, 3},
+		},
+		{
+			// The torn 9 bytes are a length prefix and 5 bytes of LSN 3,
+			// "03 00 00 00 00": the tail ends at the last non-zero byte.
+			name: "torn frame then zeros",
+			segs: []segImage{{1, preallocated(pad, f(1), f(2), f(3)[:9])}},
+			want: []uint64{1, 2},
+			torn: 5,
+		},
+		{
+			// The next frame overwrites only the front of the garbage; the
+			// rest must be zeroed by the reopen, or it fails recovery once
+			// the segment is no longer the last.
+			name: "torn garbage longer than the next frame",
+			segs: []segImage{{1, preallocated(pad, f(1), garbage)}},
+			want: []uint64{1},
+			torn: int64(len(garbage)),
+		},
+		{
+			name: "non-zero byte after the zeros, non-final segment",
+			segs: []segImage{
+				{1, nonZeroAfterZeros},
+				{2, preallocated(pad, f(2))},
+			},
+			wantErr: ErrCorrupt,
+		},
+		{
+			name: "newest segment all zero",
+			segs: []segImage{
+				{1, preallocated(pad, f(1), f(2))},
+				{3, make([]byte, pad)},
+			},
+			want: []uint64{1, 2},
+		},
+		{
+			name: "newest segment empty",
+			segs: []segImage{
+				{1, preallocated(pad, f(1), f(2))},
+				{3, nil},
+			},
+			want: []uint64{1, 2},
+		},
+		{
+			name: "unpadded segments written before preallocation",
+			segs: []segImage{
+				{1, preallocated(0, f(1), f(2))},
+				{3, preallocated(0, f(3))},
+			},
+			want: []uint64{1, 2, 3},
+		},
+	}
+	for _, tc := range tests {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			for _, sg := range tc.segs {
+				path := filepath.Join(dir, fmt.Sprintf("wal-%020d.seg", sg.first))
+				if err := os.WriteFile(path, sg.data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			s, rec, err := Open(dir, Options{SegmentSize: segSize})
+			if tc.wantErr != nil {
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("Open err = %v, want %v", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			wantLSNs(t, rec.Tail, tc.want...)
+			if rec.TruncatedTail != tc.torn {
+				t.Fatalf("TruncatedTail = %d, want %d", rec.TruncatedTail, tc.torn)
+			}
+
+			// Append until the store rotates, then once more.
+			want := append([]uint64(nil), tc.want...)
+			segs := len(s.Segments())
+			for rotated := false; !rotated; {
+				lsn := want[len(want)-1] + 1
+				if err := s.Append(f(lsn)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Sync(); err != nil {
+					t.Fatalf("sync LSN %d: %v", lsn, err)
+				}
+				want = append(want, lsn)
+				rotated = len(s.Segments()) > segs
+			}
+			newest := s.Segments()[len(s.Segments())-1]
+			if fi, err := os.Stat(newest); err != nil || fi.Size() != segSize {
+				t.Fatalf("new segment size %v (err %v), want it preallocated to %d", fi.Size(), err, segSize)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			_, rec2, err := Open(dir, Options{SegmentSize: segSize})
+			if err != nil {
+				t.Fatalf("re-open after append and rotation: %v", err)
+			}
+			wantLSNs(t, rec2.Tail, want...)
+			if rec2.TruncatedTail != 0 {
+				t.Fatalf("TruncatedTail = %d after a clean close", rec2.TruncatedTail)
+			}
+		})
 	}
 }

@@ -37,6 +37,11 @@ func FuzzSegmentScan(f *testing.F) {
 	f.Add(flip)
 	huge := []byte{0xff, 0xff, 0xff, 0x7f} // absurd length prefix
 	f.Add(append(huge, bytes.Repeat([]byte{0xaa}, 64)...))
+	// A preallocated segment's zero remainder, after whole frames and after
+	// a torn frame.
+	zeros := make([]byte, 256)
+	f.Add(append(append(fuzzFrame(1), fuzzFrame(2)...), zeros...))
+	f.Add(append(append(fuzzFrame(4), fuzzFrame(5)[:11]...), zeros...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type seen struct {
@@ -74,6 +79,17 @@ func FuzzSegmentScan(f *testing.F) {
 		revalid, err := ScanFrames(data[:valid], nil)
 		if err != nil || revalid != valid {
 			t.Fatalf("re-scan of valid prefix: valid %d -> %d, err %v", valid, revalid, err)
+		}
+		// Recovery classes the remainder as a clean end exactly when it is
+		// all zero, and counts torn bytes up to its last non-zero byte.
+		torn := tornLen(data[valid:])
+		for i, b := range data[valid+torn:] {
+			if b != 0 {
+				t.Fatalf("clean-end remainder holds byte %#x at %d", b, valid+torn+i)
+			}
+		}
+		if torn > 0 && data[valid+torn-1] == 0 {
+			t.Fatalf("torn tail of %d bytes ends in a zero byte", torn)
 		}
 		// Nothing decodable may start at the first invalid byte: recovery
 		// truncates there, and a decodable frame would mean dropped data…

@@ -15,9 +15,11 @@ import (
 // Where Open is strict — a bad frame in a non-final segment fails recovery —
 // ReadRecovered is tolerant: scanning stops at the first anomaly (bad
 // header, bad frame, or non-monotonic LSN) and everything before it is
-// returned. Recovered.TruncatedTail counts the bytes ignored past the stop
-// point across all remaining segments; callers must not attribute anything
-// to them.
+// returned. A segment whose bytes after its frames are all zero ends
+// cleanly, as in Open, and scanning goes on to the next one.
+// Recovered.TruncatedTail counts the bytes ignored past the stop point
+// across all remaining segments, each up to its last non-zero byte;
+// callers must not attribute anything to them.
 func ReadRecovered(dir string) (*Recovered, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -66,11 +68,11 @@ func ReadRecovered(dir string) (*Recovered, error) {
 			return nil, fmt.Errorf("disk: %w", err)
 		}
 		if stopped {
-			rec.TruncatedTail += int64(len(data))
+			rec.TruncatedTail += int64(tornLen(data))
 			continue
 		}
 		if err := checkHeader(data, segMagic); err != nil {
-			rec.TruncatedTail += int64(len(data))
+			rec.TruncatedTail += int64(tornLen(data))
 			stopped = true
 			continue
 		}
@@ -85,8 +87,8 @@ func ReadRecovered(dir string) (*Recovered, error) {
 			}
 			return nil
 		})
-		if valid < len(body) {
-			rec.TruncatedTail += int64(len(body) - valid)
+		if torn := tornLen(body[valid:]); torn > 0 {
+			rec.TruncatedTail += int64(torn)
 			stopped = true
 		}
 	}

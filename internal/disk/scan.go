@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,8 +21,9 @@ import (
 // or corrupted write), its payload is too short to hold an LSN, or its
 // declared length is absurd (a length prefix read out of garbage). The
 // distinction between "clean end", "torn tail", and "corruption" is the
-// caller's to make — recovery truncates a last segment at the cut and
-// refuses a cut in any earlier segment.
+// caller's to make — a zero remainder after the cut is a clean end (segments
+// are preallocated with zeros); otherwise recovery truncates a last segment
+// at the cut and refuses a cut in any earlier segment.
 
 // ErrCorrupt reports an invalid frame or header in the middle of the
 // on-disk log, where a torn tail cannot explain it.
@@ -77,6 +79,13 @@ func checkFrame(p []byte) (n int, lsn uint64, ok bool) {
 		return 0, 0, false
 	}
 	return total, binary.LittleEndian.Uint64(payload), true
+}
+
+// tornLen returns how many bytes of rest — the bytes after a segment's
+// valid prefix — are torn: up to and including the last non-zero byte. 0
+// means rest is all zero, the clean end of a preallocated segment.
+func tornLen(rest []byte) int {
+	return len(bytes.TrimRight(rest, "\x00"))
 }
 
 // firstLSN returns the LSN of the first frame in p, or 0 when p does not

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"adhoctx/internal/engine"
-	"adhoctx/internal/sim"
 	"adhoctx/internal/storage"
 	"adhoctx/internal/wal"
 )
@@ -30,15 +29,102 @@ func balances(t *testing.T, eng *engine.Engine) map[int64]int64 {
 	return out
 }
 
+// syncGate stands between a leader's and a follower's WAL devices. It counts
+// the leader's fsync batches and holds each follower fsync until the leader
+// has fsynced two more, so batches pile up in the leader's ship queue behind
+// the frame out at the follower — a follower slower than its leader, with no
+// timer in it. It opens early once every live writer is parked on an ack,
+// because then no further leader batch can form.
+type syncGate struct {
+	mu   sync.Mutex
+	cond sync.Cond
+
+	leaderSyncs   int // leader fsync batches
+	leaderStaged  int // records staged on the leader, not yet fsynced
+	leaderDurable int // records the leader has fsynced
+	folStaged     int // records staged on the follower, not yet fsynced
+	folSynced     int // records the follower has fsynced
+	live          int // writers still committing
+}
+
+func newSyncGate(writers int) *syncGate {
+	g := &syncGate{live: writers}
+	g.cond.L = &g.mu
+	return g
+}
+
+// records counts the whole records in p.
+func records(p []byte) int {
+	recs, _ := wal.Records(p)
+	return len(recs)
+}
+
+// writerDone retires one writer from the parked-writers count.
+func (g *syncGate) writerDone() {
+	g.mu.Lock()
+	g.live--
+	g.cond.Broadcast()
+	g.mu.Unlock()
+}
+
+// gateLeader is the leader's wal.Device.
+type gateLeader struct{ g *syncGate }
+
+func (d gateLeader) Append(p []byte) error {
+	d.g.mu.Lock()
+	d.g.leaderStaged += records(p)
+	d.g.mu.Unlock()
+	return nil
+}
+
+func (d gateLeader) Sync() error {
+	d.g.mu.Lock()
+	d.g.leaderDurable += d.g.leaderStaged
+	d.g.leaderStaged = 0
+	d.g.leaderSyncs++
+	d.g.cond.Broadcast()
+	d.g.mu.Unlock()
+	return nil
+}
+
+// gateFollower is the follower's wal.Device.
+type gateFollower struct{ g *syncGate }
+
+func (d gateFollower) Append(p []byte) error {
+	d.g.mu.Lock()
+	d.g.folStaged += records(p)
+	d.g.mu.Unlock()
+	return nil
+}
+
+func (d gateFollower) Sync() error {
+	g := d.g
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.folStaged == 0 {
+		return nil
+	}
+	// Records the leader holds durable and the follower has not synced
+	// belong to writers waiting for an ack, one record each.
+	until := g.leaderSyncs + 2
+	for g.leaderSyncs < until && g.leaderDurable-g.folSynced < g.live {
+		g.cond.Wait()
+	}
+	g.folSynced += g.folStaged
+	g.folStaged = 0
+	return nil
+}
+
 // TestPipelinedSemiSync: 8 writers against a strict semi-sync leader whose
-// follower fsyncs ten times slower than it does. The leader keeps fsyncing
-// while a frame is out, so some shipper call must carry more than one fsync
-// batch; every commit still waits for the follower, which ends up equal to
-// the leader row for row.
+// follower fsyncs only after the leader has fsynced two more batches. The
+// leader keeps fsyncing while a frame is out, so some shipper call must
+// carry more than one fsync batch; every commit still waits for the
+// follower, which ends up equal to the leader row for row.
 func TestPipelinedSemiSync(t *testing.T) {
 	const writers, each = 8, 25
-	le := newEngineWith(engine.Config{GroupCommit: true, WALFsync: sim.Latency{Fsync: 100 * time.Microsecond}})
-	fe := newEngineWith(engine.Config{WALFsync: sim.Latency{Fsync: time.Millisecond}})
+	g := newSyncGate(writers)
+	le := newEngineWith(engine.Config{GroupCommit: true, WALDevice: gateLeader{g}})
+	fe := newEngineWith(engine.Config{WALDevice: gateFollower{g}})
 	l := startLeader(t, le, LeaderConfig{Quorum: SemiSync})
 	var calls atomic.Int64
 	le.WAL().SetShipper(func(raw []byte, first, last uint64) {
@@ -53,6 +139,7 @@ func TestPipelinedSemiSync(t *testing.T) {
 		wg.Add(1)
 		go func(w int64) {
 			defer wg.Done()
+			defer g.writerDone()
 			for i := int64(0); i < each; i++ {
 				txn := le.Begin(engine.IsolationDefault)
 				if _, err := txn.Insert("accounts", map[string]storage.Value{"bal": w*1000 + i}); err != nil {
